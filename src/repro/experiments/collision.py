@@ -126,48 +126,25 @@ def two_fault_collision_mc(
     unfinished blocks recomputed (per-trial seeding keeps the resumed
     total bit-identical to an uninterrupted run).
     """
-    from repro.experiments import parallel
+    from repro.experiments import evaluation, parallel
 
     trials = mc_trials(trials, 60)
-    geometry = geometry or Geometry(channels=4, banks=4, rows_per_bank=12, lines_per_row=8)
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_collision.json"
-        cache = load_json_cache(cache_path)
-
-    def key(start: int, stop: int) -> str:
-        g = geometry
-        return (
+    g = geometry = geometry or Geometry(channels=4, banks=4, rows_per_bank=12, lines_per_row=8)
+    tasks = {}
+    for start in range(0, trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, trials)
+        key = (
             f"block={start}-{stop}:seed={seed}"
             f":geom={g.channels}x{g.banks}x{g.rows_per_bank}x{g.lines_per_row}"
         )
-
-    collisions = 0
-    payloads = []
-    for start in range(0, trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, trials)
-        entry = cache.get(key(start, stop))
-        if isinstance(entry, int):
-            collisions += entry
-        else:
-            payloads.append(
-                (
-                    start,
-                    stop,
-                    seed,
-                    geometry.channels,
-                    geometry.banks,
-                    geometry.rows_per_bank,
-                    geometry.lines_per_row,
-                )
-            )
-    for start, stop, count in parallel.run_tasks(_collision_block, payloads, jobs=jobs):
-        collisions += count
-        if cache_path is not None:
-            cache[key(start, stop)] = count
-            write_json_cache_atomic(cache_path, cache)
+        tasks[key] = (start, stop, seed, g.channels, g.banks, g.rows_per_bank, g.lines_per_row)
+    campaign = parallel.keyed_campaign(
+        evaluation.CACHE_DIR / "mc_collision.json" if use_cache else None,
+        tasks,
+        _collision_block,
+        jobs,
+        valid=lambda entry: isinstance(entry, int),
+        store=lambda result: result[2],
+    )
+    collisions = sum(count for _, count in campaign)
     return CollisionResult(trials, collisions, geometry)

@@ -188,38 +188,29 @@ def coverage_study(
     class, pattern, and every sizing knob; schemes not rebuildable from a
     class name are never cached, since the key can't capture their state).
     """
-    from repro.experiments import parallel
+    from repro.experiments import evaluation, parallel
 
     trials = mc_trials(trials, 200)
     by_name = {type(s).__name__: s for s in schemes}
     results = {}
-    compatible = all(_worker_compatible(s) for s in schemes)
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache and compatible:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_coverage.json"
-        cache = load_json_cache(cache_path)
-
-    def key(cls_name: str, pname: str) -> str:
-        return f"{cls_name}|{pname}|trials={trials}:seed={seed}:chunk={chunk_size}"
-
-    if compatible:
-        payloads = []
-        for s in schemes:
-            for pname in PATTERNS:
-                entry = cache.get(key(type(s).__name__, pname))
-                if isinstance(entry, list) and len(entry) == 3:
-                    results[(type(s).__name__, pname)] = [int(v) for v in entry]
-                else:
-                    payloads.append((type(s).__name__, pname, trials, seed, chunk_size))
-        for cls_name, pname, counts in parallel.run_tasks(_coverage_cell, payloads, jobs=jobs):
-            results[(cls_name, pname)] = counts
-            if cache_path is not None:
-                cache[key(cls_name, pname)] = counts
-                write_json_cache_atomic(cache_path, cache)
+    if all(_worker_compatible(s) for s in schemes):
+        tasks = {
+            f"{cls_name}|{pname}|trials={trials}:seed={seed}:chunk={chunk_size}": (
+                cls_name, pname, trials, seed, chunk_size
+            )
+            for cls_name in by_name
+            for pname in PATTERNS
+        }
+        campaign = parallel.keyed_campaign(
+            evaluation.CACHE_DIR / "mc_coverage.json" if use_cache else None,
+            tasks,
+            _coverage_cell,
+            jobs,
+            valid=lambda entry: isinstance(entry, list) and len(entry) == 3,
+            store=lambda result: result[2],
+        )
+        for key, counts in campaign:
+            results[tasks[key][:2]] = [int(v) for v in counts]
     else:
         # Schemes we can't rebuild from a class name don't cross processes.
         for s in schemes:

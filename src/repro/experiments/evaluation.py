@@ -114,8 +114,8 @@ def instruction_budget(access_target: int, wl) -> int:
     return int(access_target * 1000 / wl.apki)
 
 
-# Shared with the Monte Carlo fig8 cache; kept under the old names for
-# callers/tests that patch them here.
+# The shared cache helpers under their old names, for callers and tests
+# that read or write a matrix cache directly.
 _load_cache = load_json_cache
 _write_cache_atomic = write_json_cache_atomic
 
@@ -135,9 +135,11 @@ def evaluation_matrix(
     processes when *jobs* (default: ``REPRO_JOBS``, else CPU count) allows -
     and merged back under their ``workload|config`` key, so the returned
     matrix is independent of completion order and bit-identical to a serial
-    sweep.  The cache is flushed atomically (merge-on-write, so concurrent
-    sweeps sharing the file keep each other's cells) after every finished
-    cell, so an interrupted or crashed sweep resumes where it stopped.
+    sweep.  The sweep runs through
+    :func:`~repro.experiments.parallel.keyed_campaign`: the cache is
+    flushed atomically (merge-on-write, so concurrent sweeps sharing the
+    file keep each other's cells) after every finished cell, so an
+    interrupted or crashed sweep resumes where it stopped.
     Worker crashes, hangs, and exceptions are retried by the resilient
     engine (``REPRO_TASK_RETRIES`` / ``REPRO_TASK_TIMEOUT``); cells that
     exhaust their budget surface in a
@@ -151,16 +153,12 @@ def evaluation_matrix(
     if system_class not in SYSTEM_CLASSES:
         raise KeyError(system_class)
 
-    path = _cache_path(system_class, fidelity, seed)
-    cache = _load_cache(path) if use_cache else {}
+    # Deferred import: repro.experiments.parallel imports this module.
+    from repro import obs
+    from repro.experiments import parallel
 
-    missing = [(w, k) for w in wl_names for k in keys if f"{w}|{k}" not in cache]
-    if missing:
-        # Deferred import: repro.experiments.parallel imports this module.
-        from repro import obs
-        from repro.experiments import parallel
-
-        if obs.enabled("engine"):
+    def manifest(missing: "list[str]") -> None:
+        if missing and obs.enabled("engine"):
             # Campaign-level manifest facts: the config matrix and seeds
             # that produced this run directory's telemetry.
             obs.ensure_manifest(
@@ -175,18 +173,24 @@ def evaluation_matrix(
                     "missing_cells": len(missing),
                 }
             )
-        for wl_name, key, cell in parallel.run_cells(
-            system_class, missing, fidelity, seed, jobs=jobs
-        ):
-            cache[f"{wl_name}|{key}"] = cell
-            if use_cache:
-                _write_cache_atomic(path, cache)
 
-    return {
-        (wl_name, key): CellResult(**cache[f"{wl_name}|{key}"])
-        for wl_name in wl_names
-        for key in keys
+    tasks = {
+        f"{w}|{k}": parallel._cell_payload(system_class, w, k, fidelity, seed)
+        for w in wl_names
+        for k in keys
     }
+    cells = dict(
+        parallel.keyed_campaign(
+            _cache_path(system_class, fidelity, seed) if use_cache else None,
+            tasks,
+            parallel._run_cell,
+            jobs,
+            store=lambda result: result[2],
+            before_run=manifest,
+            warm=parallel._cells_warm(system_class, keys, fidelity),
+        )
+    )
+    return {(w, k): CellResult(**cells[f"{w}|{k}"]) for w in wl_names for k in keys}
 
 
 def workload_order(matrix: "dict[tuple[str, str], CellResult]", reference_key: str = "chipkill36") -> "list[str]":

@@ -5,8 +5,10 @@ collision cells) is an independent, deterministic simulation: workers
 receive only primitives, rebuild their inputs, and seed themselves, so a
 task's result never depends on which process ran it and a parallel
 campaign is bit-identical to a serial one.  :func:`run_tasks` is the
-generic engine under every driver; :func:`run_cells` adapts it to the
-evaluation matrix.
+generic engine; :func:`keyed_campaign` puts a per-key JSON checkpoint in
+front of it and is the runner every cached campaign driver goes through
+(the evaluation matrix, fig8 EOL, rare-event shards, coverage, collision);
+:func:`run_cells` adapts the engine to evaluation-matrix cells.
 
 At production scale (1M-trial campaigns, full 16-workload sweeps) partial
 failure is the common case, so the engine wraps the fan-out in a
@@ -71,6 +73,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro import obs
@@ -78,6 +81,7 @@ from repro.obs import trace
 from repro.ecc.catalog import SYSTEM_CLASSES
 from repro.experiments import evaluation, resultcodec
 from repro.experiments.runner import RunSpec, run
+from repro.util import cachefile
 from repro.util import chaos as chaos_mod
 from repro.util import envcfg
 from repro.workloads.profiles import WORKLOADS_BY_NAME
@@ -111,25 +115,6 @@ MAX_BATCH = 32
 
 #: Recent per-task wall samples kept for the auto-batching estimate.
 _CALIBRATION_WINDOW = 64
-
-#: Process-wide ceiling on inner tasks per super-task, below
-#: :data:`MAX_BATCH`; ``None`` = uncapped.  The supervisor's resource
-#: watchdog lowers it under memory pressure (smaller batches mean fewer
-#: concurrently-materialized results per worker) and restores it after.
-_batch_cap: "int | None" = None
-
-
-def set_batch_cap(cap: "int | None") -> "int | None":
-    """Set (or with ``None`` clear) the process-wide super-task batch cap.
-
-    Returns the previous value so callers can restore it.  Takes effect on
-    the next submission of every running campaign — in-flight batches are
-    not recalled.
-    """
-    global _batch_cap
-    previous = _batch_cap
-    _batch_cap = max(1, int(cap)) if cap is not None else None
-    return previous
 
 #: Wait-loop cap while a super-task is in flight: the parent polls the
 #: batch spools at least this often so finished inners settle promptly
@@ -518,23 +503,18 @@ def _run_pooled(
     fail_fast,
     batch,
     warm,
-    spool_dir=None,
 ):
     """The pooled engine: batching, windowed submission, deadlines, rebuilds.
 
-    Yields ``(index, result)`` pairs.  With a caller-provided *spool_dir*
-    super-task spools live there and the directory survives this function
-    (the supervisor salvages finished inner results out of spools orphaned
-    by a killed driver); settled spools are still unlinked individually.
+    Yields ``(index, result)`` pairs.  Super-task spools live in a private
+    temp directory that is removed on exit.
     """
     max_attempts = retries + 1
     pending = deque((i, 1) for i in range(len(payloads)))
     inflight: "dict[object, _Flight]" = {}
     consecutive_rebuilds = 0
     total_rebuilds = 0
-    owns_spool_dir = spool_dir is None
-    if spool_dir is not None:
-        os.makedirs(spool_dir, exist_ok=True)
+    spool_dir = None
     samples: "deque[float]" = deque(maxlen=_CALIBRATION_WINDOW)
 
     def _new_spool():
@@ -575,8 +555,6 @@ def _run_pooled(
             else:
                 size = math.ceil(DISPATCH_OVERHEAD_S / (TARGET_OVERHEAD_FRACTION * med))
             size = min(MAX_BATCH, size)
-        if _batch_cap is not None:
-            size = min(size, _batch_cap)
         return max(1, min(size, math.ceil(len(pending) / jobs)))
 
     def _settle_ok(index, attempt, value, pid, wall):
@@ -895,9 +873,7 @@ def _run_pooled(
             _kill_pool(pool)
         raise
     finally:
-        # A caller-provided spool dir outlives the engine: whatever a killed
-        # driver left there is exactly what the supervisor salvages.
-        if owns_spool_dir and spool_dir is not None:
+        if spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
     if pool is not None:
         pool.shutdown()
@@ -917,7 +893,6 @@ def run_tasks(
     batch: "str | int | None" = None,
     warm: "tuple | None" = None,
     yield_index: bool = False,
-    spool_dir: "str | None" = None,
 ) -> "Iterator":
     """Fan *worker(*payload)* over processes, yielding results as they finish.
 
@@ -951,12 +926,8 @@ def run_tasks(
       parent before the first pool (fork workers inherit it) and as the
       initializer of every built or rebuilt pool.
     * *yield_index* — yield ``(payload_index, result)`` pairs instead of
-      bare results, so a caller journaling settlements (the supervisor)
-      can attribute each completion-ordered result to its task.
-    * *spool_dir* — directory for super-task spool files.  By default the
-      engine owns a private temp dir and removes it on exit; a
-      caller-provided directory is created if needed and left in place, so
-      spools orphaned by a killed driver survive for salvage.
+      bare results, so a caller (:func:`keyed_campaign`) can attribute
+      each completion-ordered result to its task.
 
     Tasks that exhaust their budget are reported in one
     :class:`CampaignError` raised *after* every other task has been
@@ -1020,7 +991,6 @@ def run_tasks(
             fail_fast,
             batch,
             warm,
-            spool_dir,
         )
     ok = 0
     try:
@@ -1040,6 +1010,65 @@ def run_tasks(
         campaign_span.end(ok=ok, failed=len(failures))
     if failures:
         raise CampaignError(failures, len(payloads)) from failures[0].cause
+
+
+def keyed_campaign(
+    cache_path: "Path | None",
+    tasks: "dict[str, tuple]",
+    worker,
+    jobs: "int | None" = None,
+    *,
+    valid: "Callable[[object], bool] | None" = None,
+    store: "Callable[[object], object] | None" = None,
+    before_run: "Callable[[list[str]], object] | None" = None,
+    **options,
+) -> "Iterator[tuple[str, object]]":
+    """Run a ``{key: payload}`` campaign behind a per-key JSON checkpoint.
+
+    The one runner under every cached campaign driver.  Yields
+    ``(key, value)`` first for each key whose entry in the JSON cache at
+    *cache_path* is present and passes *valid* (the driver's entry-shape
+    check; by default any entry counts), then for each missing key as the
+    engine finishes it, in completion order.  *value* is ``store(result)``
+    for a fresh *worker(*payload)* result (the result itself when *store*
+    is ``None``), so cached and fresh values have the same shape.
+
+    Every fresh value is merged into the cache file and flushed atomically
+    (:func:`repro.util.cachefile.write_json_cache_atomic`) before it is
+    yielded, so a driver killed or interrupted at any point resumes with
+    only the unsettled keys missing.  The campaign's keys are written in
+    task order, so the finished file does not depend on completion order.
+    With *cache_path* ``None`` nothing is read or written.
+
+    *before_run*, if given, is called with the list of missing keys after
+    the cached entries have been yielded and before the engine starts;
+    returning ``False`` ends the campaign there.  The engine
+    (:func:`run_tasks`, with *jobs* and *options*) runs only when keys are
+    missing.  Breaking out of the loop abandons the rest of the campaign,
+    which cancels pending tasks.
+    """
+    cache = cachefile.load_json_cache(cache_path) if cache_path is not None else {}
+    missing = []
+    for key in tasks:
+        if key in cache and (valid is None or valid(cache[key])):
+            yield key, cache[key]
+        else:
+            missing.append(key)
+    if before_run is not None and before_run(missing) is False:
+        return
+    if not missing:
+        return
+    payloads = [tasks[key] for key in missing]
+    for index, result in run_tasks(worker, payloads, jobs=jobs, yield_index=True, **options):
+        key = missing[index]
+        value = result if store is None else store(result)
+        if cache_path is not None:
+            cache[key] = value
+            # Keys in task order, not completion order, so a parallel
+            # campaign leaves the same bytes on disk as a serial one.
+            ordered = {k: cache[k] for k in tasks if k in cache}
+            cachefile.write_json_cache_atomic(cache_path, {**ordered, **cache})
+        yield key, value
 
 
 def _run_cell(
@@ -1069,6 +1098,16 @@ def _run_cell(
     return wl_name, config_key, asdict(evaluation._cell_from_result(run(spec)))
 
 
+def _cell_payload(system_class, wl_name, config_key, fidelity, seed) -> tuple:
+    """The :func:`_run_cell` payload of one evaluation-matrix cell."""
+    return (system_class, wl_name, config_key, fidelity.scale, fidelity.access_target, seed)
+
+
+def _cells_warm(system_class, config_keys, fidelity) -> tuple:
+    """The warm hint of a matrix campaign over *config_keys*."""
+    return (_warm_cells, (system_class, tuple(sorted(set(config_keys))), fidelity.scale))
+
+
 def run_cells(
     system_class: str,
     cells: "Iterable[tuple[str, str]]",
@@ -1092,12 +1131,6 @@ def run_cells(
     without rerunning the sweep.
     """
     cells = list(cells)
-    payloads = [
-        (system_class, wl_name, key, fidelity.scale, fidelity.access_target, seed)
-        for wl_name, key in cells
-    ]
-    options.setdefault(
-        "warm",
-        (_warm_cells, (system_class, tuple(sorted({key for _, key in cells})), fidelity.scale)),
-    )
+    payloads = [_cell_payload(system_class, wl_name, key, fidelity, seed) for wl_name, key in cells]
+    options.setdefault("warm", _cells_warm(system_class, [key for _, key in cells], fidelity))
     return run_tasks(_run_cell, payloads, jobs=jobs, **options)

@@ -18,7 +18,7 @@ ints, type subclasses) fall back to an embedded pickle frame, so the
 codec never rejects a result, it only stops being fast.
 
 On top of the value codec sits the **framed-record layer** used by the
-super-task spool (and salvaged by the campaign supervisor): fixed-header
+super-task spool: fixed-header
 records carrying per-task attribution — index, wall seconds, worker pid,
 the emitting span id (:mod:`repro.obs.trace`; zero when tracing is off)
 — plus a kind tag and a length-prefixed payload blob.  Each frame is
@@ -200,7 +200,7 @@ def decode(data: "bytes | memoryview") -> object:
 
 
 # --------------------------------------------------------------------------
-# Framed-record layer (super-task spools, supervisor salvage)
+# Framed-record layer (super-task spools)
 
 #: Frame kinds: a codec-encoded result, a pickled worker exception, or a
 #: codec-encoded result that a ``corrupt`` chaos fault wrapped.

@@ -1166,16 +1166,7 @@ def sharded_estimate(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
-    from repro.experiments import parallel
-
-    cache: "dict[str, object]" = {}
-    cache_path = None
-    if use_cache:
-        from repro.experiments import evaluation
-        from repro.util.cachefile import load_json_cache, write_json_cache_atomic
-
-        cache_path = evaluation.CACHE_DIR / "mc_rareevent.json"
-        cache = load_json_cache(cache_path)
+    from repro.experiments import evaluation, parallel
 
     def key(shard: int, shard_trials: int) -> str:
         parts = [
@@ -1199,15 +1190,29 @@ def sharded_estimate(
     base, extra = divmod(trials, shards)
     shard_trials = {s: base + (1 if s < extra else 0) for s in range(shards)}
     shard_trials = {s: n for s, n in shard_trials.items() if n > 0}
+    shard_of = {key(s, n): s for s, n in shard_trials.items()}
+    tasks = {
+        k: (
+            org.channels,
+            org.ranks_per_channel,
+            org.chips_per_rank,
+            org.banks_per_rank,
+            lifetime_hours,
+            fit_scale,
+            mode,
+            shard_trials[s],
+            seed,
+            s,
+            tilt,
+            strata_n,
+            allocation,
+            chunk_size,
+            threshold,
+        )
+        for k, s in shard_of.items()
+    }
 
     results: "dict[int, dict]" = {}
-    missing = []
-    for s, n in shard_trials.items():
-        entry = cache.get(key(s, n))
-        if isinstance(entry, dict) and "kind" in entry:
-            results[s] = entry
-        else:
-            missing.append(s)
 
     def merged(upto: "set[int]") -> "WeightedEstimate | StratifiedEstimate":
         est = None
@@ -1216,51 +1221,45 @@ def sharded_estimate(
             est = shard_est if est is None else est.merge(shard_est)
         return est
 
+    def on_target() -> bool:
+        return bool(target_rci) and merged(set(results)).rci(threshold_t) <= target_rci
+
     t0 = time.perf_counter()
     early = False
+    running = False
     armed = obs.enabled("mc")
-    if target_rci and results:
-        current = merged(set(results))
-        early = current.rci(threshold_t) <= target_rci
-    if missing and not early:
-        payloads = [
-            (
-                org.channels,
-                org.ranks_per_channel,
-                org.chips_per_rank,
-                org.banks_per_rank,
-                lifetime_hours,
-                fit_scale,
-                mode,
-                shard_trials[s],
-                seed,
-                s,
-                tilt,
-                strata_n,
-                allocation,
-                chunk_size,
-                threshold,
+
+    def start(missing: "list[str]") -> bool:
+        # The cached shards alone may already meet the target.
+        nonlocal early, running
+        early = bool(results) and on_target()
+        running = not early
+        return running
+
+    for k, est_dict in parallel.keyed_campaign(
+        evaluation.CACHE_DIR / "mc_rareevent.json" if use_cache else None,
+        tasks,
+        _shard_worker,
+        jobs,
+        valid=lambda entry: isinstance(entry, dict) and "kind" in entry,
+        store=lambda result: result[1],
+        before_run=start,
+    ):
+        s = shard_of[k]
+        results[s] = est_dict
+        if not running:
+            continue  # a cached shard
+        if armed:
+            obs.emit(
+                "mc.rareevent.shard",
+                mode=mode,
+                shard=s,
+                shards=shards,
+                done=len(results),
             )
-            for s in missing
-        ]
-        for s, est_dict in parallel.run_tasks(_shard_worker, payloads, jobs=jobs):
-            results[s] = est_dict
-            if cache_path is not None:
-                cache[key(s, shard_trials[s])] = est_dict
-                write_json_cache_atomic(cache_path, cache)
-            if armed:
-                obs.emit(
-                    "mc.rareevent.shard",
-                    mode=mode,
-                    shard=s,
-                    shards=shards,
-                    done=len(results),
-                )
-            if target_rci:
-                current = merged(set(results))
-                if current.rci(threshold_t) <= target_rci:
-                    early = True
-                    break  # abandoning the generator cancels pending shards
+        if on_target():
+            early = True
+            break  # abandoning the campaign cancels pending shards
 
     estimate = merged(set(results))
     wall = time.perf_counter() - t0

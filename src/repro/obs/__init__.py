@@ -27,7 +27,7 @@ observable without perturbing them:
 Arming
 ------
 ``REPRO_OBS`` selects instrumented layers as a comma-separated mode list
-(``engine``, ``mc``, ``sim``, ``chaos``, ``supervisor``, ``ecc``;
+(``engine``, ``mc``, ``sim``, ``chaos``, ``ecc``;
 ``all``/``1`` enables every mode); unset keeps telemetry off.  ``REPRO_OBS_DIR`` picks the run
 directory (default ``./.repro_obs``).  Both are read at import time, so
 spawn-started worker processes arm themselves; fork-started workers
@@ -54,7 +54,7 @@ EVENTS_FILE = "events.jsonl"
 MANIFEST_FILE = "manifest.json"
 
 #: Instrumented layers selectable in REPRO_OBS.
-MODES = ("engine", "mc", "sim", "chaos", "supervisor", "ecc")
+MODES = ("engine", "mc", "sim", "chaos", "ecc")
 
 _ALL_TOKENS = frozenset({"1", "true", "on", "all"})
 

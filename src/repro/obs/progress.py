@@ -10,11 +10,11 @@ completion.  Two output modes:
 * **``--json``**: one machine-readable line per settlement, the contract
   the future campaign service streams to clients::
 
-      {"campaign":"fig8","done":3,"failed":0,"total":24}
+      {"campaign":"campaign-1","done":3,"failed":0,"total":24}
 
-  Lines carry **only deterministic fields**: the campaign label (the
-  supervisor's name, else ``campaign-<ordinal>`` in stream order), the
-  running settled/failed counters, and the task total.  ``done`` counts
+  Lines carry **only deterministic fields**: the campaign label
+  (``campaign-<ordinal>``, counting ``engine.start`` events in stream
+  order), the running settled/failed counters, and the task total.  ``done`` counts
   settlements ``1..N`` in arrival order, so the byte stream is identical
   for serial and parallel runs of the same campaign even though tasks
   finish in different orders — throughput and ETA, which are not
@@ -120,9 +120,10 @@ class Tracker:
     def __init__(self):
         self.campaigns: "list[dict]" = []
         self._by_trace: "dict[str, dict]" = {}
-        self._pending_name: "str | None" = None
 
-    def _campaign_for(self, event: "dict") -> "dict | None":
+    def campaign_for(self, event: "dict") -> "dict | None":
+        """The campaign an engine event belongs to: by trace stamp, else
+        the latest campaign still open."""
         trace = event.get("trace")
         if trace is not None and trace in self._by_trace:
             return self._by_trace[trace]
@@ -134,15 +135,11 @@ class Tracker:
     def feed(self, event: dict) -> "list[dict]":
         kind = event.get("kind", "")
         ts = event.get("ts")
-        if kind == "supervisor.begin":
-            # The next engine.start under this supervisor inherits its name.
-            self._pending_name = event.get("name")
-            return []
         if kind == "engine.start":
-            label = self._pending_name or f"campaign-{len(self.campaigns) + 1}"
-            self._pending_name = None
+            ordinal = len(self.campaigns) + 1
             c = {
-                "campaign": label,
+                "campaign": f"campaign-{ordinal}",
+                "ordinal": ordinal,
                 "total": int(event.get("tasks", 0)),
                 "done": 0,
                 "failed": 0,
@@ -156,7 +153,7 @@ class Tracker:
                 self._by_trace[trace] = c
             return []
         if kind in ("engine.ok", "engine.fail"):
-            c = self._campaign_for(event)
+            c = self.campaign_for(event)
             if c is None:
                 return []
             c["done" if kind == "engine.ok" else "failed"] += 1
@@ -171,7 +168,7 @@ class Tracker:
                 }
             ]
         if kind == "engine.done":
-            c = self._campaign_for(event)
+            c = self.campaign_for(event)
             if c is not None:
                 c["open"] = False
         return []

@@ -56,12 +56,23 @@ def read_events(run_dir: "Path | str") -> "list[dict]":
 
 
 def _engine_summary(events: "list[dict]") -> dict:
-    """Per-task outcomes and campaign totals from engine.* events."""
-    tasks: "dict[int, dict]" = {}
+    """Per-task outcomes and campaign totals from engine.* events.
 
-    def task(index):
+    Task rows are keyed by ``(campaign, index)``: a run directory can hold
+    several campaigns, each numbering its tasks from 0.  ``campaign`` is
+    the ordinal :mod:`repro.obs.progress` labels campaigns with (1 for the
+    first ``engine.start`` in the stream), and events are attributed to a
+    campaign the same way it does.
+    """
+    from repro.obs.progress import Tracker
+
+    tracker = Tracker()
+    tasks: "dict[tuple[int, int], dict]" = {}
+
+    def task(event):
+        campaign = tracker.campaign_for(event)
         return tasks.setdefault(
-            int(index),
+            (campaign["ordinal"] if campaign else 0, int(event["index"])),
             {"attempts": 0, "status": "pending", "retries": 0, "timeouts": 0,
              "requeues": 0, "errors": [], "worker_pids": [], "wall_s": None},
         )
@@ -73,6 +84,7 @@ def _engine_summary(events: "list[dict]") -> dict:
         kind = e.get("kind", "")
         if not kind.startswith("engine."):
             continue
+        tracker.feed(e)
         if kind == "engine.start":
             start = e
             continue
@@ -87,9 +99,9 @@ def _engine_summary(events: "list[dict]") -> dict:
             continue
         if "index" not in e:
             continue
-        t = task(e["index"])
+        t = task(e)
         if kind == "engine.submit":
-            t["attempts"] = max(t["attempts"], int(e.get("attempt", 0)) + 1)
+            t["attempts"] = max(t["attempts"], int(e.get("attempt", 1)))
         elif kind == "engine.ok":
             t["status"] = "ok"
             t["wall_s"] = e.get("wall_s")
@@ -202,39 +214,6 @@ def _chaos_summary(events: "list[dict]") -> "list[dict]":
     return out
 
 
-def _supervisor_summary(events: "list[dict]") -> "dict | None":
-    """Durability accounting from supervisor.* events.
-
-    Answers the resume question directly from telemetry: how much of the
-    campaign was replayed from the journal or salvaged from orphaned
-    spools versus recomputed, and what the watchdog did about resources.
-    """
-    sup = [e for e in events if e.get("kind", "").startswith("supervisor.")]
-    if not sup:
-        return None
-
-    def count(kind):
-        return sum(1 for e in sup if e["kind"] == kind)
-
-    begins = [e for e in sup if e["kind"] == "supervisor.begin"]
-    return {
-        "campaigns": len(begins),
-        "last_begin": begins[-1] if begins else None,
-        "replayed": sum(
-            int(e.get("settled", 0)) for e in sup if e["kind"] == "supervisor.replay"
-        ),
-        "salvaged": sum(
-            int(e.get("count", 0)) for e in sup if e["kind"] == "supervisor.salvage"
-        ),
-        "settled": count("supervisor.settle"),
-        "memory_pressure": count("supervisor.memory_pressure"),
-        "low_disk": count("supervisor.low_disk"),
-        "pauses": count("supervisor.pause"),
-        "interrupts": count("supervisor.interrupt"),
-        "done": next((e for e in reversed(sup) if e["kind"] == "supervisor.done"), None),
-    }
-
-
 def _timeline(events: "list[dict]") -> "list[dict]":
     """Bucketed progress: completions and MC trials per wall-clock slice."""
     marks = [e for e in events if e.get("kind") in ("engine.ok", "mc.chunk") and "ts" in e]
@@ -274,7 +253,6 @@ def summarize(run_dir: "Path | str") -> dict:
         "mc": _mc_summary(events),
         "ecc": _ecc_summary(events),
         "sim": _sim_summary(events),
-        "supervisor": _supervisor_summary(events),
         "chaos": _chaos_summary(events),
         "timeline": _timeline(events),
         "trace": trace_summary(events),
@@ -328,13 +306,15 @@ def render(summary: dict) -> str:
             "{requeues} requeues, {rebuilds} rebuilds, {degrades} degrades".format(**totals)
         )
         rows = [
-            [str(i), t["status"], str(t["attempts"]), str(t["retries"]),
+            [str(c), str(i), t["status"], str(t["attempts"]), str(t["retries"]),
              str(t["timeouts"]), str(t["requeues"]),
              ",".join(str(p) for p in t["worker_pids"]) or "-"]
-            for i, t in eng["tasks"].items()
+            for (c, i), t in eng["tasks"].items()
         ]
         lines += _table(
-            ["task", "status", "attempts", "retries", "timeouts", "requeues", "workers"], rows
+            ["campaign", "task", "status", "attempts", "retries", "timeouts", "requeues",
+             "workers"],
+            rows,
         )
         lines.append("")
 
@@ -367,34 +347,6 @@ def render(summary: dict) -> str:
             f"llc {last.get('llc_hits')}/{last.get('llc_misses')} hit/miss, "
             f"{last.get('fast_picks')} fast picks / {last.get('issued_requests')} issues"
         )
-        lines.append("")
-
-    if summary.get("supervisor"):
-        sup = summary["supervisor"]
-        begin = sup["last_begin"] or {}
-        done = sup["done"] or {}
-        lines.append(
-            f"supervisor: {sup['campaigns']} campaign(s), last "
-            f"{begin.get('name', '?')!r}: {begin.get('total', '?')} tasks, "
-            f"{sup['replayed']} replayed from journal, {sup['salvaged']} salvaged "
-            f"from spools, {sup['settled']} settled live"
-        )
-        if done:
-            lines.append(
-                f"  finished: {done.get('settled', '?')} settled / "
-                f"{done.get('total', '?')} total (recomputed {done.get('computed', '?')})"
-            )
-        watch = []
-        if sup["memory_pressure"]:
-            watch.append(f"{sup['memory_pressure']} memory-pressure degradation(s)")
-        if sup["low_disk"]:
-            watch.append(f"{sup['low_disk']} low-disk sample(s)")
-        if sup["pauses"]:
-            watch.append(f"{sup['pauses']} pause(s)")
-        if sup["interrupts"]:
-            watch.append(f"{sup['interrupts']} signal interrupt(s)")
-        if watch:
-            lines.append("  watchdog: " + ", ".join(watch))
         lines.append("")
 
     if summary["chaos"]:
@@ -462,6 +414,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     summary = summarize(args.run_dir)
     if args.json:
+        # JSON object keys are strings: (campaign, index) renders "campaign:index".
+        tasks = summary["engine"]["tasks"]
+        summary["engine"]["tasks"] = {f"{c}:{i}": t for (c, i), t in tasks.items()}
         print(json.dumps(summary, indent=2, sort_keys=True, default=repr))
     else:
         print(render(summary), end="")

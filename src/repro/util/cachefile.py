@@ -31,8 +31,8 @@ Hardening layers protecting concurrent and crashing campaigns:
 Chaos instrumentation: the write path calls
 :func:`repro.util.chaos.io_fire` at the ``cache.write`` (temp-file write,
 torn-capable) and ``cache.rename`` (atomic replace) sites, so the
-supervisor test-suite can inject ENOSPC/EIO/torn-write faults here and
-assert the recovery contract.  Disarmed, the hooks are early-return no-ops.
+chaos I/O tests can inject ENOSPC/EIO/torn-write faults (or kill the
+driver) here and assert the recovery contract.  Disarmed, the hooks are early-return no-ops.
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ def quarantine_file(path: Path, reason: str) -> "Path | None":
 
     Best-effort (a read-only tree just leaves the file in place); returns
     the new location or ``None``.  The move uses ``os.replace`` so a
-    concurrent quarantine of the same file cannot duplicate it.  Shared by
-    the JSON caches here and the supervisor's binary journals.
+    concurrent quarantine of the same file cannot duplicate it.
     """
     qdir = quarantine_path(path)
     dest = qdir / f"{path.name}.{os.getpid()}.{next(_quarantine_seq)}"
@@ -180,8 +179,9 @@ def write_json_cache_atomic(
 
     With ``merge=True`` the current file is reloaded and the union (disk
     entries under *cache* entries) is written, preserving cells finished by
-    a concurrent campaign between our loads; ``merge=False`` restores plain
-    replacement.  The written file always carries the schema stamp.  The
+    a concurrent campaign between our loads; *cache*'s keys come first, in
+    its order, then keys found only on disk.  ``merge=False`` restores
+    plain replacement.  The written file always carries the schema stamp.  The
     caller's *cache* dict is never mutated.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -189,7 +189,7 @@ def write_json_cache_atomic(
     if merge:
         on_disk = load_json_cache(path)
         if on_disk:
-            cache = {**on_disk, **cache}
+            cache = {**cache, **{k: v for k, v in on_disk.items() if k not in cache}}
     payload = {k: v for k, v in cache.items() if k != META_KEY}
     payload[META_KEY] = {"schema": SCHEMA_VERSION}
     data = json.dumps(payload)

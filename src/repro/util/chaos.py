@@ -35,28 +35,27 @@ engine's degraded-to-serial recovery path) stays the fault-free reference.
 Host/I-O chaos plane
 --------------------
 
-Worker faults exercise the *engine's* recovery paths; the supervisor layer
-(:mod:`repro.experiments.supervisor`) also has to survive faults of the
-*host* — a full disk, a dying filesystem, the driver itself being killed.
-A second spec, armed via ``REPRO_CHAOS_IO`` (or :func:`arm_io` in tests),
-injects those at named I/O sites::
+Worker faults exercise the *engine's* recovery paths; the campaign
+checkpoint (:mod:`repro.util.cachefile`, written by
+:func:`repro.experiments.parallel.keyed_campaign`) also has to survive
+faults of the *host* — a full disk, a dying filesystem, the driver itself
+being killed.  A second spec, armed via ``REPRO_CHAOS_IO`` (or
+:func:`arm_io` in tests), injects those at named I/O sites::
 
     mode[=param]@op[#n]
 
 * ``mode`` — ``enospc`` (the site raises ``OSError(ENOSPC)``), ``eio``
   (``OSError(EIO)``), ``torn`` (the site writes only the first *param*
   bytes — default :data:`DEFAULT_TORN_BYTES` — then fails, simulating a
-  crash mid-write), ``kill`` (the *current process* dies via ``SIGKILL``
-  — used with a subprocess harness to kill the driver at an exact
-  journal record), or ``rss`` (the watchdog's next RSS sample reads
-  *param* bytes instead of the real value).
-* ``op`` — the dotted site name instrumented with :func:`io_fire` /
-  :func:`io_override`: ``cache.write``, ``cache.rename``,
-  ``journal.append``, ``supervisor.settle``, ``watchdog.rss``.
+  crash mid-write), or ``kill`` (the *current process* dies via
+  ``SIGKILL`` — used with a subprocess harness to kill the driver at an
+  exact checkpoint write).
+* ``op`` — the dotted site name instrumented with :func:`io_fire`:
+  ``cache.write`` and ``cache.rename``.
 * ``n`` — which occurrence of the site fires the fault (1-based, counted
   per process; default ``1``; ``*`` = every occurrence).
 
-Example: ``"enospc@journal.append#3,kill@supervisor.settle#2"``.
+Example: ``"enospc@cache.write#3,kill@cache.rename#2"``.
 
 Sites call ``io_fire(op)`` which is a no-op (fast early return) unless a
 spec is armed, so production code pays nothing.
@@ -73,7 +72,7 @@ from dataclasses import dataclass
 #: Environment variable holding a chaos spec for the campaign engine.
 ENV_VAR = "REPRO_CHAOS"
 
-#: Environment variable holding a host/I-O chaos spec for the supervisor.
+#: Environment variable holding a host/I-O chaos spec for the write sites.
 IO_ENV_VAR = "REPRO_CHAOS_IO"
 
 #: Default byte cap for ``torn`` faults — small enough to guarantee the
@@ -211,17 +210,17 @@ def _emit_fire(fault: ChaosFault, index: int, attempt: int) -> None:
 # Host/I-O chaos plane
 # --------------------------------------------------------------------------
 
-_IO_MODES = ("enospc", "eio", "torn", "kill", "rss")
+_IO_MODES = ("enospc", "eio", "torn", "kill")
 
 
 @dataclass(frozen=True)
 class IOFault:
     """One parsed host/I-O fault entry."""
 
-    mode: str  #: "enospc" | "eio" | "torn" | "kill" | "rss"
-    op: str  #: dotted site name, e.g. "journal.append"
+    mode: str  #: "enospc" | "eio" | "torn" | "kill"
+    op: str  #: dotted site name, e.g. "cache.write"
     occurrence: "int | None"  #: 1-based occurrence to hit; None = every
-    param: float  #: byte cap (torn) or simulated RSS bytes (rss)
+    param: float  #: byte cap (torn)
 
     def matches(self, op: str, count: int) -> bool:
         return self.op == op and self.occurrence in (None, count)
@@ -241,7 +240,7 @@ def parse_io(spec: str) -> "tuple[IOFault, ...]":
         mode = mode.strip()
         if mode not in _IO_MODES:
             raise ValueError(f"io chaos mode must be one of {_IO_MODES}, got {mode!r}")
-        if param and mode not in ("torn", "rss"):
+        if param and mode != "torn":
             raise ValueError(f"io chaos mode {mode!r} takes no parameter: {entry!r}")
         op, _, occ_s = tail.partition("#")
         op = op.strip()
@@ -263,10 +262,6 @@ def parse_io(spec: str) -> "tuple[IOFault, ...]":
             value = float(param) if param else DEFAULT_TORN_BYTES
             if value < 0:
                 raise ValueError(f"io chaos torn byte cap must be >= 0: {entry!r}")
-        elif mode == "rss":
-            if not param:
-                raise ValueError(f"io chaos mode 'rss' needs a byte value: {entry!r}")
-            value = float(param)
         else:
             value = 0.0
         faults.append(IOFault(mode, op, occurrence, value))
@@ -319,7 +314,7 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     ``kill`` SIGKILLs the current process (never returns), and ``torn``
     returns the byte cap — the caller writes only that prefix of its
     *size*-byte payload and then fails its write, simulating a crash
-    mid-write.  ``rss`` faults are ignored here (see :func:`io_override`).
+    mid-write.
     """
     faults = _io_faults
     if faults is None:
@@ -329,7 +324,7 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
     count = _io_counts.get(op, 0) + 1
     _io_counts[op] = count
     for fault in faults:
-        if fault.mode != "rss" and fault.matches(op, count):
+        if fault.matches(op, count):
             _emit_io_fire(fault, op, count)
             if fault.mode == "enospc":
                 raise OSError(errno.ENOSPC, f"chaos: no space left on device [{op}]")
@@ -341,27 +336,6 @@ def io_fire(op: str, size: "int | None" = None) -> "int | None":
             if fault.mode == "torn":
                 cap = int(fault.param)
                 return cap if size is None else min(cap, size)
-    return None
-
-
-def io_override(op: str) -> "float | None":
-    """Armed ``rss`` override for a sampling site; ``None`` when clean.
-
-    Counted separately from :func:`io_fire` faults only in the sense that
-    a site is instrumented with exactly one of the two — samplers use
-    ``io_override``, write paths use ``io_fire``.
-    """
-    faults = _io_faults
-    if faults is None:
-        faults = _io_active()
-    if not faults:
-        return None
-    count = _io_counts.get(op, 0) + 1
-    _io_counts[op] = count
-    for fault in faults:
-        if fault.mode == "rss" and fault.matches(op, count):
-            _emit_io_fire(fault, op, count)
-            return fault.param
     return None
 
 

@@ -56,16 +56,6 @@ DEFAULT_MC_TILT = 6.0
 #: Variance-reduction modes accepted by ``REPRO_MC_VR``.
 MC_VR_MODES = ("off", "is", "strat", "auto")
 
-#: Default supervisor journal directory (crash-safe campaign state).
-DEFAULT_SUPERVISOR_DIR = "./.repro_supervisor"
-
-#: Default resource-watchdog sampling period (seconds).
-DEFAULT_SUPERVISOR_POLL = 0.5
-
-#: Default free-disk floor (bytes) under which the watchdog pauses a
-#: campaign instead of letting the next checkpoint hit ENOSPC.
-DEFAULT_SUPERVISOR_MIN_DISK = 64 << 20
-
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
 
 
@@ -341,70 +331,6 @@ def task_batch(explicit: "str | int | None" = None) -> "str | int":
     return size
 
 
-def mem_budget(explicit: "int | None" = None) -> "int | None":
-    """Resolve the driver's RSS budget in bytes (``REPRO_MEM_BUDGET``).
-
-    When the supervisor's watchdog sees RSS above this budget it degrades
-    gracefully — halving the super-task batch cap and shrinking
-    ``REPRO_MC_CHUNK`` for campaigns not yet keyed — instead of letting
-    the OOM killer pick a victim.  Accepts byte-size suffixes (``512m``,
-    ``2g``).  ``None``/unset disables the memory watchdog; ``0`` disables
-    it explicitly.
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"memory budget must be >= 0, got {explicit}")
-        return explicit or None
-    value = _env_number("REPRO_MEM_BUDGET", parse_bytes, "a byte size (e.g. 512m, 2g)")
-    if value is None:
-        return None
-    if value < 0:
-        raise ValueError(f"REPRO_MEM_BUDGET must be >= 0, got {value}")
-    return value or None
-
-
-def supervisor_dir(explicit: "str | None" = None) -> str:
-    """Resolve the supervisor state directory (``REPRO_SUPERVISOR_DIR``):
-    write-ahead journals and salvageable super-task spools live here."""
-    if explicit:
-        return str(explicit)
-    return os.environ.get("REPRO_SUPERVISOR_DIR", "").strip() or DEFAULT_SUPERVISOR_DIR
-
-
-def supervisor_poll(explicit: "float | None" = None) -> float:
-    """Resolve the watchdog sampling period in seconds
-    (``REPRO_SUPERVISOR_POLL``, default :data:`DEFAULT_SUPERVISOR_POLL`)."""
-    if explicit is not None:
-        explicit = float(explicit)
-        if explicit <= 0:
-            raise ValueError(f"supervisor poll period must be > 0, got {explicit}")
-        return explicit
-    return positive_float("REPRO_SUPERVISOR_POLL", DEFAULT_SUPERVISOR_POLL)
-
-
-def supervisor_min_disk(explicit: "int | None" = None) -> int:
-    """Resolve the free-disk floor in bytes (``REPRO_SUPERVISOR_MIN_DISK``,
-    default :data:`DEFAULT_SUPERVISOR_MIN_DISK`; ``0`` disables the check).
-
-    Below the floor the supervisor pauses-and-checkpoints rather than
-    letting journal appends and cache renames start failing with ENOSPC.
-    """
-    if explicit is not None:
-        explicit = int(explicit)
-        if explicit < 0:
-            raise ValueError(f"supervisor min disk must be >= 0, got {explicit}")
-        return explicit
-    value = _env_number(
-        "REPRO_SUPERVISOR_MIN_DISK", parse_bytes, "a byte size (e.g. 64m, 1g)"
-    )
-    if value is None:
-        return DEFAULT_SUPERVISOR_MIN_DISK
-    if value < 0:
-        raise ValueError(f"REPRO_SUPERVISOR_MIN_DISK must be >= 0, got {value}")
-    return value
-
-
 def task_retries(explicit: "int | None" = None) -> int:
     """Resolve the per-task retry budget (``REPRO_TASK_RETRIES``, default
     :data:`DEFAULT_TASK_RETRIES`).  ``0`` means a single attempt."""
@@ -538,37 +464,9 @@ register(
     "REPRO_CHAOS_IO",
     "io chaos spec",
     "(off)",
-    "host/I-O fault injection for the supervisor: mode[=param]@op[#n],... "
-    "(enospc|eio|torn|kill|rss)",
+    "host/I-O fault injection at named write sites: mode[=param]@op[#n],... "
+    "(enospc|eio|torn|kill)",
     _resolve_chaos_io,
-)
-register(
-    "REPRO_MEM_BUDGET",
-    "bytes (512m, 2g)",
-    "disabled",
-    "driver RSS budget; above it the watchdog shrinks batch caps and MC chunks (0 = off)",
-    lambda: (lambda v: str(v) if v else "(disabled)")(mem_budget()),
-)
-register(
-    "REPRO_SUPERVISOR_DIR",
-    "path",
-    DEFAULT_SUPERVISOR_DIR,
-    "supervisor state directory: write-ahead campaign journals + salvageable spools",
-    lambda: supervisor_dir(),
-)
-register(
-    "REPRO_SUPERVISOR_POLL",
-    "float > 0 (s)",
-    str(DEFAULT_SUPERVISOR_POLL),
-    "resource-watchdog sampling period for RSS and free-disk gauges",
-    lambda: f"{supervisor_poll():g}s",
-)
-register(
-    "REPRO_SUPERVISOR_MIN_DISK",
-    "bytes (64m, 1g)",
-    "64m",
-    "free-disk floor under which a supervised campaign pauses-and-checkpoints (0 = off)",
-    lambda: str(supervisor_min_disk()),
 )
 register(
     "REPRO_CACHE_DIR",
@@ -616,7 +514,7 @@ register(
     "REPRO_OBS",
     "mode list",
     "(telemetry off)",
-    "arm the telemetry plane: comma-separated modes engine,mc,sim,chaos,supervisor,ecc (or 'all')",
+    "arm the telemetry plane: comma-separated modes engine,mc,sim,chaos,ecc (or 'all')",
     _resolve_obs_modes,
 )
 register(

@@ -6,15 +6,25 @@ cache-layer recovery contract: an injected ENOSPC/EIO/torn write at
 ``cache.write``/``cache.rename`` must leave the previous cache intact and
 no temp litter behind; stale temps from dead writers are swept; caches
 with missing/alien schema stamps or corrupt bytes quarantine instead of
-half-merging.
+half-merging; and a real campaign driver SIGKILLed mid-checkpoint resumes
+with only its unsettled keys recomputed.
 """
 
 import errno
 import json
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.ecc import Chipkill18, Chipkill36, LotEcc9
+from repro.experiments import evaluation
+from repro.experiments.coverage import coverage_study
+from repro.obs.summarize import read_events
 from repro.util import cachefile, chaos
 
 
@@ -27,21 +37,21 @@ def _disarmed():
 
 class TestIoSpecParsing:
     def test_defaults(self):
-        (f,) = chaos.parse_io("enospc@journal.append")
-        assert f == chaos.IOFault("enospc", "journal.append", 1, 0.0)
+        (f,) = chaos.parse_io("enospc@site.write")
+        assert f == chaos.IOFault("enospc", "site.write", 1, 0.0)
 
     def test_params_occurrences_and_star(self):
         faults = chaos.parse_io(
-            "torn=7@cache.write#2, rss=2e9@watchdog.rss#*, eio@cache.rename"
+            "torn=7@cache.write#2, kill@site.write#*, eio@cache.rename"
         )
         assert faults == (
             chaos.IOFault("torn", "cache.write", 2, 7.0),
-            chaos.IOFault("rss", "watchdog.rss", None, 2e9),
+            chaos.IOFault("kill", "site.write", None, 0.0),
             chaos.IOFault("eio", "cache.rename", 1, 0.0),
         )
 
     def test_torn_default_cap(self):
-        (f,) = chaos.parse_io("torn@journal.append")
+        (f,) = chaos.parse_io("torn@site.write")
         assert f.param == chaos.DEFAULT_TORN_BYTES
 
     def test_matches(self):
@@ -62,7 +72,7 @@ class TestIoSpecParsing:
             "eio@cache.write#0",  # occurrence below 1
             "eio@cache.write#x",  # non-integer occurrence
             "torn=-1@cache.write",  # negative byte cap
-            "rss@watchdog.rss",  # rss requires a value
+            "rss@watchdog.rss",  # not a mode
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -100,9 +110,9 @@ class TestIoFire:
         assert chaos.io_fire("cache.write") is None
 
     def test_enospc_raises(self):
-        chaos.arm_io("enospc@journal.append")
+        chaos.arm_io("enospc@site.write")
         with pytest.raises(OSError) as exc:
-            chaos.io_fire("journal.append")
+            chaos.io_fire("site.write")
         assert exc.value.errno == errno.ENOSPC
 
     def test_star_fires_every_time(self):
@@ -120,13 +130,6 @@ class TestIoFire:
     def test_other_sites_untouched(self):
         chaos.arm_io("eio@cache.write")
         assert chaos.io_fire("cache.rename") is None
-
-    def test_rss_mode_only_overrides(self):
-        chaos.arm_io("rss=5e9@watchdog.rss")
-        assert chaos.io_fire("watchdog.rss") is None  # rss never fires here
-        chaos.arm_io("rss=5e9@watchdog.rss")
-        assert chaos.io_override("watchdog.rss") == 5e9
-        assert chaos.io_override("watchdog.rss") is None  # occurrence 1 spent
 
     def test_lazy_env_arming(self, monkeypatch):
         monkeypatch.setenv(chaos.IO_ENV_VAR, "eio@env.site")
@@ -254,3 +257,60 @@ class TestSchemaQuarantine:
             cachefile.write_json_cache_atomic(path, {"b": 2})
         assert cachefile.load_json_cache(path) == {"b": 2}
         assert len(self._quarantined(tmp_path)) == 1
+
+
+class TestDriverKill:
+    """SIGKILL a real campaign driver mid-checkpoint, then resume it.
+
+    The subprocess runs a cached coverage study that dies at its third
+    checkpoint write (``kill@cache.write#3``): the two results already
+    flushed must survive, the rerun must recompute only the other cells,
+    and the resumed rows must equal a cold serial run bit for bit.
+    """
+
+    SCRIPT = (
+        "from repro.ecc import Chipkill18, Chipkill36, LotEcc9\n"
+        "from repro.experiments.coverage import coverage_study\n"
+        "coverage_study([Chipkill36(), Chipkill18(), LotEcc9()], trials=60, seed=3,"
+        " jobs=2, use_cache=True)\n"
+    )
+
+    @staticmethod
+    def _study(**kw):
+        return coverage_study([Chipkill36(), Chipkill18(), LotEcc9()], trials=60, seed=3, **kw)
+
+    def test_sigkill_mid_checkpoint_resumes_only_unsettled_keys(self, tmp_path, monkeypatch):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        env[chaos.IO_ENV_VAR] = "kill@cache.write#3"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT], env=env, start_new_session=True
+        )
+        try:
+            returncode = proc.wait(timeout=120)
+        finally:
+            try:  # reap pool workers orphaned by the killed driver
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert returncode == -signal.SIGKILL
+
+        cache_path = tmp_path / "mc_coverage.json"
+        assert len(cachefile.load_json_cache(cache_path)) == 2
+        assert os.listdir(tmp_path) == ["mc_coverage.json"]  # no temp litter
+
+        monkeypatch.setattr(evaluation, "CACHE_DIR", tmp_path)
+        run = tmp_path / "run"
+        obs.configure(run, "engine")
+        try:
+            resumed = self._study(jobs=1, use_cache=True)
+        finally:
+            obs.disarm()
+            obs.REGISTRY.reset()
+        started = [e["tasks"] for e in read_events(run) if e["kind"] == "engine.start"]
+        assert started == [9 - 2]
+        assert len(cachefile.load_json_cache(cache_path)) == 9
+        assert resumed == self._study(jobs=1, use_cache=False)

@@ -207,6 +207,33 @@ class TestEnvcfgIntrospection:
         )
         assert "REPRO_OBS" in out.stdout and "REPRO_JOBS" in out.stdout
 
+    def test_readme_knob_table_is_the_rendered_registry(self):
+        """README carries exactly ``python -m repro.util.envcfg --markdown
+        --defaults``, so a deleted or renamed knob cannot linger there."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = readme.splitlines()
+        start = lines.index("| knob | parser | default | description |")
+        end = start
+        while end < len(lines) and lines[end].startswith("|"):
+            end += 1
+        table = "\n".join(lines[start:end])
+        assert table == envcfg.render_knobs(markdown=True, defaults_only=True)
+
+    @pytest.mark.parametrize(
+        "raw,value",
+        [
+            ("1024", 1024),
+            ("64k", 64 << 10),
+            ("512M", 512 << 20),
+            ("2g", 2 << 30),
+            ("1.5g", (3 << 30) // 2),
+            ("2gb", 2 << 30),
+            ("2GiB", 2 << 30),
+        ],
+    )
+    def test_parse_bytes(self, raw, value):
+        assert envcfg.parse_bytes(raw) == value
+
 
 class TestMcEvents:
     def test_chunk_events_and_bit_identity(self, run_dir):
@@ -293,7 +320,7 @@ class TestSummarizeChaosStorm:
 
     def test_every_task_outcome_reconstructed(self, storm_summary):
         eng = storm_summary["engine"]
-        assert set(eng["tasks"]) == set(range(len(PAYLOADS)))
+        assert set(eng["tasks"]) == {(1, i) for i in range(len(PAYLOADS))}
         assert all(t["status"] == "ok" for t in eng["tasks"].values())
         assert eng["totals"]["ok"] == len(PAYLOADS)
         assert eng["totals"]["failed"] == 0
@@ -331,6 +358,46 @@ class TestSummarizeChaosStorm:
         )
         parsed = json.loads(out.stdout)
         assert parsed["engine"]["totals"]["ok"] == len(PAYLOADS)
+
+
+class TestSummarizeCampaigns:
+    """A run directory holding several campaigns keeps their tasks apart."""
+
+    def test_two_campaigns_do_not_merge_task_rows(self, tmp_path):
+        run = tmp_path / "run"
+        obs.configure(run, "engine")
+        try:
+            for _ in range(2):
+                list(parallel.run_tasks(_eol_cell, PAYLOADS[:2], jobs=1))
+        finally:
+            obs.disarm()
+            obs.REGISTRY.reset()
+        eng = summarize(run)["engine"]
+        assert set(eng["tasks"]) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+        for row in eng["tasks"].values():
+            assert (row["status"], row["attempts"], row["retries"]) == ("ok", 1, 0)
+            assert len(row["worker_pids"]) == 1
+        assert eng["totals"]["ok"] == 4
+        text = render(summarize(run))
+        assert "campaign  task  status" in text
+
+    def test_cli_json_keys_rows_by_campaign_and_task(self, tmp_path):
+        run = tmp_path / "run"
+        obs.configure(run, "engine")
+        try:
+            for _ in range(2):
+                list(parallel.run_tasks(_eol_cell, PAYLOADS[:1], jobs=1))
+        finally:
+            obs.disarm()
+            obs.REGISTRY.reset()
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.obs.summarize", str(run), "--json"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=_subprocess_env(),
+        )
+        assert set(json.loads(out.stdout)["engine"]["tasks"]) == {"1:0", "2:0"}
 
 
 class TestTornLines:
@@ -389,52 +456,3 @@ class TestTornLines:
         )
         assert "torn JSONL record" in out.stderr
         assert "events: 1" in out.stdout
-
-
-class TestSupervisorSummary:
-    """supervisor.* events reconstruct the durability accounting."""
-
-    @pytest.fixture
-    def paused_run(self, tmp_path):
-        from repro.experiments import supervisor
-        from repro.util import chaos
-        from tests._supervisor_worker import square
-
-        run = tmp_path / "run"
-        state = tmp_path / "state"
-        obs.configure(run, "supervisor")
-        try:
-            chaos.arm_io("enospc@journal.append#4")
-            with pytest.raises(supervisor.CampaignPaused):
-                supervisor.run_campaign(
-                    square, [(i,) for i in range(4)], name="obs",
-                    directory=state, jobs=1, watchdog=False,
-                )
-            chaos.arm_io(None)
-            supervisor.run_campaign(
-                square, [(i,) for i in range(4)], name="obs",
-                directory=state, jobs=1, watchdog=False,
-            )
-        finally:
-            chaos.arm_io(None)
-            obs.disarm()
-            obs.REGISTRY.reset()
-        return run
-
-    def test_pause_resume_reconstructed(self, paused_run):
-        summary = summarize(paused_run)
-        sup = summary["supervisor"]
-        assert sup["campaigns"] == 2
-        assert sup["pauses"] == 1
-        assert sup["replayed"] == 1  # one settle survived the first run
-        assert sup["settled"] == 4  # live settles across both runs
-        assert sup["done"]["settled"] == 4
-        assert sup["done"]["computed"] == 3
-        assert sup["last_begin"]["resumed"] == 1
-
-    def test_render_has_supervisor_section(self, paused_run):
-        text = render(summarize(paused_run))
-        assert "supervisor: 2 campaign(s)" in text
-        assert "1 replayed from journal" in text
-        assert "finished: 4 settled / 4 total (recomputed 3)" in text
-        assert "1 pause(s)" in text

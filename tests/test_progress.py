@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.experiments import parallel, supervisor
+from repro.experiments import parallel
+from repro.util.cachefile import write_json_cache_atomic
 from repro.obs.progress import Follower, Tracker, json_lines
 from repro.obs.summarize import read_events
 
@@ -37,7 +38,7 @@ def _subprocess_env():
 @pytest.fixture
 def armed(tmp_path):
     run = tmp_path / "progress"
-    obs.configure(run, "engine,supervisor")
+    obs.configure(run, "engine")
     yield run
     obs.disarm()
     obs.REGISTRY.reset()
@@ -132,19 +133,15 @@ class TestTrackerDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0].strip()
 
-    def test_supervised_campaign_uses_journal_name(self, armed, tmp_path):
-        supervisor.run_campaign(
-            _square,
-            PAYLOADS,
-            name="fig8",
-            directory=tmp_path / "camp",
-            jobs=2,
-            watchdog=False,
-            backoff=0,
-        )
+    def test_keyed_campaign_counts_only_missing_keys(self, armed, tmp_path):
+        path = tmp_path / "cache.json"
+        write_json_cache_atomic(path, {"k0": 0, "k5": 25})  # two keys already settled
+        tasks = {f"k{i}": p for i, p in enumerate(PAYLOADS)}
+        list(parallel.keyed_campaign(path, tasks, _square, jobs=2, backoff=0))
         lines = [json.loads(l) for l in json_lines(read_events(armed))]
-        assert lines and all(l["campaign"] == "fig8" for l in lines)
-        assert lines[-1]["done"] == len(PAYLOADS)
+        missing = len(PAYLOADS) - 2
+        assert [l["done"] for l in lines] == list(range(1, missing + 1))
+        assert all(l["campaign"] == "campaign-1" and l["total"] == missing for l in lines)
 
     def test_failed_tasks_counted_separately(self):
         events = [

@@ -222,10 +222,10 @@ class TestCancellation:
         """A campaign killed mid-flight resumes from its checkpoint and
         recomputes only the unfinished cells."""
         monkeypatch.setattr(ev, "CACHE_DIR", tmp_path)
-        real_run_cells = parallel.run_cells
+        real_run_tasks = parallel.run_tasks
 
         def interrupted(*args, **kwargs):
-            inner = real_run_cells(*args, **kwargs)
+            inner = real_run_tasks(*args, **kwargs)
 
             def wrapper():
                 yield next(inner)  # let exactly one cell finish
@@ -234,7 +234,7 @@ class TestCancellation:
 
             return wrapper()
 
-        monkeypatch.setattr(parallel, "run_cells", interrupted)
+        monkeypatch.setattr(parallel, "run_tasks", interrupted)
         with pytest.raises(KeyboardInterrupt):
             evaluation_matrix("quad", fidelity=TINY, jobs=2, **CELLS)
 
@@ -244,7 +244,7 @@ class TestCancellation:
         assert len(checkpointed) == 1  # exactly the finished cell survived
 
         # Resume: only the three unfinished cells are simulated.
-        monkeypatch.setattr(parallel, "run_cells", real_run_cells)
+        monkeypatch.setattr(parallel, "run_tasks", real_run_tasks)
         simulated = []
         real_cell = parallel._run_cell
 
