@@ -129,7 +129,8 @@ def run_epoch(sim, warmup_instructions: int, measure_instructions: int) -> SimRe
     from repro.cpu import epochnative  # deferred: avoids an import cycle
 
     native = epochnative.wants_native(sim)
-    with trace.span("sim.epoch", "sim", native=native):
+    ineligible = None if native else epochnative.ineligible_reason(sim)
+    with trace.span("sim.epoch", "sim", native=native, ineligible=ineligible):
         if native:
             return epochnative.run_native(sim, warmup_instructions, measure_instructions)
         return _run_epoch_py(sim, warmup_instructions, measure_instructions)
@@ -324,7 +325,8 @@ def _run_epoch_py(sim, warmup_instructions: int, measure_instructions: int) -> S
 
     #: The EV_ACCESS miss path may fold the whole victim cascade inline:
     #: only when the ECC state either needs no touch (inline codes) or is a
-    #: single cached-line update; uncached schemes take the helper.
+    #: single cached-line update; uncached schemes take the helper here (the
+    #: compiled core handles them in its own cascade).
     ecc_fast = ecc_inline or ecc_cached
 
     # -- LLC flat state (the llc's own lists, mutated in place) -------------------------

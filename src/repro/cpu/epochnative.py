@@ -9,9 +9,11 @@ the base image; nothing is downloaded) and runs it over flat int64 NumPy
 state, dropping per-event cost by more than an order of magnitude.
 
 Scope: the native loop covers the common simulation shapes including
-patrol scrubbing and degraded (faulty-bank) mode - excluded are one-shot
-bursts, per-window IPC tracking, uncached ECC state, and mappings whose
-geometry differs from the memory system.  Anything else falls back to
+patrol scrubbing, degraded (faulty-bank) mode and uncached ECC/XOR state
+(the Figure 6 step-E read-modify-write) - excluded are one-shot bursts,
+per-window IPC tracking, mappings whose geometry differs from the memory
+system, >=32 banks per rank and more than ``MAX_CORES`` cores;
+:func:`ineligible_reason` names which.  Anything else falls back to
 the Python epoch loop, which handles every configuration.  Both paths
 are bit-identical to the event-driven reference;
 ``tests/test_epoch_kernel.py`` pins each against the oracle.
@@ -74,8 +76,9 @@ typedef struct {
     int64_t trfc, trefi, bb_read, bb_write, trcd_tcl, PD;
     int64_t WRITE_DRAIN, WRITE_DRAIN_LOW, QUEUE_DEPTH;
     int64_t HIT, POSTED_CAP, load_mlp, units_64b;
-    /* ecc: mode 0=inline (no state), 1=parity formula, 2=simple */
-    int64_t ecc_mode, ecc_insert_kind;
+    /* ecc: mode 0=inline (no state), 1=parity formula, 2=simple;
+       uncached: step-E read-modify-write in memory, no LLC line */
+    int64_t ecc_mode, ecc_insert_kind, ecc_uncached, ecc_is_xor;
     int64_t eb, lpp_e, ppc, gpp, pc1, cov;
     /* llc flat state */
     int64_t set_mask, assoc, n_sets;
@@ -136,7 +139,7 @@ typedef struct {
     int64_t trfc, trefi, bb_read, bb_write, trcd_tcl, PD;
     int64_t WRITE_DRAIN, WRITE_DRAIN_LOW, QUEUE_DEPTH;
     int64_t HIT, POSTED_CAP, load_mlp, units_64b;
-    int64_t ecc_mode, ecc_insert_kind;
+    int64_t ecc_mode, ecc_insert_kind, ecc_uncached, ecc_is_xor;
     int64_t eb, lpp_e, ppc, gpp, pc1, cov;
     int64_t set_mask, assoc, n_sets;
     int64_t *l_tags; int64_t *l_lru; uint8_t *l_dirty; uint8_t *l_kind;
@@ -496,6 +499,18 @@ static void cascade(KS *k, int64_t va, int64_t vk, int64_t vd, int64_t now) {
                 if (r == -1) {
                     st_a[sp] = ev_a; st_k[sp] = ev_k; st_d[sp] = ev_d; sp++;
                 }
+            } else if (k->ecc_uncached) {
+                /* unoptimized step E: read the old data (XOR lines only),
+                   then read-modify-write the parity/ECC line in memory */
+                int64_t ea = ecc_addr(k, a);
+                if (k->ecc_is_xor) {
+                    enqueue(k, a, 0, TAG_ECCFILL_, now);
+                    if (k->error) return;
+                }
+                enqueue(k, ea, 0, TAG_ECCRMW_, now);
+                if (k->error) return;
+                enqueue(k, ea, 1, TAG_ECCRMW_, now);
+                if (k->error) return;
             } else if (k->ecc_mode != 0) {
                 int64_t ea = ecc_addr(k, a);
                 int64_t ev_a, ev_k, ev_d;
@@ -839,13 +854,12 @@ def native_mode() -> str:
     return sim_native()
 
 
-def eligible(sim) -> bool:
-    """True when *sim*'s configuration fits the native loop's scope."""
-    if sim._bursts or sim.ipc_window:
-        return False
-    eccm = sim.ecc_model
-    if eccm.kind != EccTraffic.INLINE and not eccm.cache_ecc_lines:
-        return False
+def ineligible_reason(sim) -> "str | None":
+    """Why *sim* needs the Python epoch loop, or None when the native core fits."""
+    if sim._bursts:
+        return "one-shot bursts"
+    if sim.ipc_window:
+        return "ipc_window"
     mem = sim.mem
     chans = mem.channels
     C = len(chans)
@@ -853,16 +867,21 @@ def eligible(sim) -> bool:
     B = chans[0].ranks[0].banks
     mapping = mem.mapping
     if mapping.channels != C or mapping.ranks_per_channel != R:
-        return False
+        return "mapping geometry differs from the memory system"
     if max(B, mapping.banks_per_rank) >= 32:
-        return False
+        return ">=32 banks per rank"
     if len(sim.cores) > MAX_CORES:
-        return False
+        return f">{MAX_CORES} cores"
     for ch in chans:
         for q in ch.queue:
             if type(q.tag) is not int:
-                return False
-    return True
+                return "non-integer queued request tag"
+    return None
+
+
+def eligible(sim) -> bool:
+    """True when *sim*'s configuration fits the native loop's scope."""
+    return ineligible_reason(sim) is None
 
 
 def wants_native(sim) -> bool:
@@ -870,12 +889,12 @@ def wants_native(sim) -> bool:
     mode = native_mode()
     if mode == "off":
         return False
-    if not eligible(sim):
+    reason = ineligible_reason(sim)
+    if reason is not None:
         if mode == "on":
             raise RuntimeError(
                 "REPRO_SIM_NATIVE=on but this configuration needs the "
-                "Python epoch loop (bursts/uncached-ECC/ipc_window or "
-                "mismatched mapping geometry)"
+                f"Python epoch loop ({reason})"
             )
         return False
     if not available():
@@ -970,6 +989,8 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.ecc_insert_kind = int(
         LineKind.ECC if eccm.kind == EccTraffic.ECC_LINE else LineKind.XOR
     )
+    ks.ecc_uncached = int(ks.ecc_mode != 0 and not eccm.cache_ecc_lines)
+    ks.ecc_is_xor = int(eccm.kind == EccTraffic.XOR_LINE)
 
     # -- patrol scrub / degraded-mode state ---------------------------------------------
     scrub = sim.scrub

@@ -118,7 +118,7 @@ def res_of(res):
 
 
 def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=None):
-    """Reference vs epoch (native off, then auto) - full-state bit identity."""
+    """Reference vs epoch (native off, then on/auto) - full-state bit identity."""
 
     def prepared():
         sim = mk()
@@ -129,10 +129,13 @@ def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=Non
         return sim
 
     ref = prepared()
+    # The second leg forces the compiled core whenever it can run, so a
+    # failed build cannot silently turn it into a second Python-loop run.
+    second = "on" if epochnative.eligible(ref) and epochnative.available() else "auto"
     r_ref = ref._run_reference(warmup, measure)
     want_res, want_state = res_of(r_ref), state_of(ref)
 
-    for native in ("off", "auto"):
+    for native in ("off", second):
         monkeypatch.setenv("REPRO_SIM_NATIVE", native)
         epo = prepared()
         r_epo = run_epoch(epo, warmup, measure)
@@ -170,6 +173,35 @@ class TestKernelIdentityScenarios:
     def test_uncached_xor_lines(self, monkeypatch):
         assert_identical(
             lambda: build(MultiEcc(), wl_traces("milc", 3), cache_ecc_lines=False),
+            1000, 5000, monkeypatch)
+
+    def test_uncached_ecc_lines(self, monkeypatch):
+        """LOT-ECC5 without caching: ECC-line read-modify-write, no old-data read."""
+        assert_identical(
+            lambda: build(LotEcc5(), wl_traces("omnetpp", 3, line=LotEcc5().line_size),
+                          cache_ecc_lines=False),
+            1000, 5000, monkeypatch)
+
+    def test_uncached_ecc_parity(self, monkeypatch):
+        """LOT-ECC5 + ECC Parity uncached: the xor_ablation shape."""
+        assert_identical(
+            lambda: build(LotEcc5(), wl_traces("lbm", 2, line=LotEcc5().line_size),
+                          channels=4, ecc_parity=4, cache_ecc_lines=False),
+            1000, 5000, monkeypatch)
+
+    def test_uncached_degraded(self, monkeypatch):
+        """Faulty-bank victims materialize; healthy ones pay the step-E RMW."""
+        deg = DegradedMode(frozenset({(0, 0, 0), (1, 0, 3)}), ecc_line_coverage=2)
+        assert_identical(
+            lambda: build(MultiEcc(), wl_traces("mcf", 4), degraded=deg,
+                          cache_ecc_lines=False),
+            1000, 5000, monkeypatch)
+
+    def test_uncached_patrol_scrub(self, monkeypatch):
+        assert_identical(
+            lambda: build(LotEcc5(), wl_traces("omnetpp", 5, line=LotEcc5().line_size),
+                          channels=4, ecc_parity=4, cache_ecc_lines=False,
+                          scrub=ScrubConfig(interval_cycles=500, region_lines=4096)),
             1000, 5000, monkeypatch)
 
     def test_degraded_mode_fault_state(self, monkeypatch):
@@ -282,9 +314,26 @@ class TestNativeCore:
 
     def test_native_on_rejects_ineligible_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", "on")
-        sim = build(MultiEcc(), wl_traces("mcf", 0), cache_ecc_lines=False)
-        with pytest.raises(RuntimeError, match="REPRO_SIM_NATIVE=on"):
+        sim = build(Chipkill18(), wl_traces("mcf", 0))
+        sim.schedule_burst(10, 4, 4, 1 << 30)
+        with pytest.raises(RuntimeError,
+                           match=r"REPRO_SIM_NATIVE=on .*\(one-shot bursts\)"):
             epochnative.wants_native(sim)
+
+    def test_native_on_runs_uncached_xor_lines(self, monkeypatch):
+        """Uncached MultiEcc runs in the compiled core, identical to the oracle."""
+        if not epochnative.available():
+            pytest.skip("no C toolchain in this environment")
+
+        def mk():
+            return build(MultiEcc(), wl_traces("milc", 3), cache_ecc_lines=False)
+
+        ref = mk()
+        want = res_of(ref._run_reference(1000, 5000))
+        monkeypatch.setenv("REPRO_SIM_NATIVE", "on")
+        epo = mk()
+        assert res_of(run_epoch(epo, 1000, 5000)) == want
+        assert state_of(epo) == state_of(ref)
 
     def test_scrub_and_degraded_are_eligible(self):
         """Patrol scrub and degraded mode run in the compiled core now."""
@@ -295,7 +344,7 @@ class TestNativeCore:
 
     def test_scalar_fallback_cases_are_ineligible(self):
         """Serializing features must route to the Python epoch loop."""
-        assert not epochnative.eligible(
+        assert epochnative.eligible(
             build(MultiEcc(), wl_traces("mcf", 0), cache_ecc_lines=False))
         burst_sim = build(Chipkill18(), wl_traces("mcf", 0))
         burst_sim.schedule_burst(10, 4, 4, 1 << 30)
