@@ -20,8 +20,8 @@ The span plane (``repro.obs.trace``) gets the same treatment: with
 ``REPRO_TRACE`` unset every ``trace.span(...)`` site hands back a shared
 no-op singleton, so the disabled-path bound is again proven directly -
 per-site cost of a disarmed span gate times the span sites a kernel run
-touches (one ``sim.run`` per simulation, one ``sim.epoch`` per epoch
-dispatch, one ``mc.run`` per MC run), divided by the kernel wall.  The
+touches (one ``sim.run`` per simulation on either kernel, one ``mc.run``
+per MC run), divided by the kernel wall.  The
 ``trace_disabled`` section is enforced by ``perf_guard.py``'s CEILINGS
 table at < 2% on both kernels.
 
@@ -225,10 +225,10 @@ def bench_trace_disabled_path(benchmark, results_dir, emit):
         return gate_s, sim_wall, epoch_wall, mc_wall
 
     gate_s, sim_wall, epoch_wall, mc_wall = once(benchmark, measure)
-    # Span sites per kernel run: the event simulator opens one ``sim.run``
-    # span; the epoch simulator adds one ``sim.epoch`` per (single) epoch
-    # dispatch; the MC kernel opens one ``mc.run`` around its chunk loop.
-    sim_sites, epoch_sites, mc_sites = 1, 2, 1
+    # Span sites per kernel run: either simulator kernel opens one
+    # ``sim.run`` span (the compiled core runs inside it); the MC kernel
+    # opens one ``mc.run`` around its chunk loop.
+    sim_sites, epoch_sites, mc_sites = 1, 1, 1
     sim_pct = 100.0 * sim_sites * gate_s / sim_wall
     epoch_pct = 100.0 * epoch_sites * gate_s / epoch_wall
     mc_pct = 100.0 * mc_sites * gate_s / mc_wall

@@ -127,10 +127,10 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
 
     Both kernels replay the identical event sequence (the bit-identity
     contract), so ``events`` matches exactly and the rate ratio is a pure
-    kernel speedup.  The epoch side dispatches to the compiled core when
-    it is available (``REPRO_SIM_NATIVE=auto``); the build is warmed up
-    outside the timed region so first-run compilation does not skew
-    quick-mode numbers.
+    kernel speedup.  The epoch side is the compiled core (a host without
+    a compiler runs the event reference there too, so the speedup floor
+    cannot be met); the build is warmed up outside the timed region so
+    first-run compilation does not skew quick-mode numbers.
     """
     from repro.cpu import epochnative
 
@@ -171,7 +171,7 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
                 ["epoch", f"{ep_events}", f"{ep_wall:.3f}", f"{ep_rate:,.0f}"],
                 ["speedup", "", "", f"{speedup:.2f}x"],
             ],
-            title="Simulation kernels, event-driven vs epoch-batched",
+            title="Simulation kernels, event-driven vs compiled epoch core",
         ),
     )
     assert ev_events == ep_events, "kernels diverged: event counts differ"

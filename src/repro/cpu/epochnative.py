@@ -1,31 +1,30 @@
-"""Compiled core loop for the epoch kernel (``REPRO_SIM_NATIVE``).
+"""Compiled epoch core of the timing simulator (``REPRO_SIM_NATIVE``).
 
-The pure-Python epoch loop in :mod:`repro.cpu.batchkernel` executes the
-reference discrete-event semantics at roughly 2 microseconds per event -
-an op-for-op floor set by the interpreter, since every branch of the loop
-is already flat integer arithmetic over lists.  This module compiles the
-identical loop to machine code with :mod:`cffi` (the toolchain ships in
-the base image; nothing is downloaded) and runs it over flat int64 NumPy
-state, dropping per-event cost by more than an order of magnitude.
+The event-driven loop in :meth:`repro.cpu.system.SimSystem._run_reference`
+is the semantic definition of the simulator (the oracle).  This module is
+its one fast path: the identical discrete-event semantics compiled to
+machine code with :mod:`cffi` (the toolchain ships in the base image;
+nothing is downloaded) and run over flat int64 NumPy state, so the
+per-event cost drops by more than an order of magnitude against the
+oracle.
 
-Scope: the native loop covers the common simulation shapes including
-patrol scrubbing, degraded (faulty-bank) mode and uncached ECC/XOR state
-(the Figure 6 step-E read-modify-write) - excluded are one-shot bursts,
-per-window IPC tracking, mappings whose geometry differs from the memory
-system, >=32 banks per rank and more than ``MAX_CORES`` cores;
-:func:`ineligible_reason` names which.  Anything else falls back to
-the Python epoch loop, which handles every configuration.  Both paths
-are bit-identical to the event-driven reference;
-``tests/test_epoch_kernel.py`` pins each against the oracle.
+Scope: every simulation shape the paper's experiments use - patrol
+scrubbing, degraded (faulty-bank) mode, uncached ECC/XOR state (the
+Figure 6 step-E read-modify-write), one-shot background bursts and
+per-window IPC tracking.  :func:`ineligible_reason` names what is left
+out: mappings whose geometry differs from the memory system, >=32 banks
+per rank, more than ``MAX_CORES`` cores, and non-integer queued request
+tags.  Those configurations, and hosts where the core cannot be built,
+run the event reference instead; ``tests/test_epoch_kernel.py`` pins the
+core bit-for-bit against it.
 
-Build model: the C source below is compiled once per source hash into
-``src/repro/cpu/_native/`` (gitignored) and memoized process-wide.
-Compilation failures (no compiler, sandboxed build dir) degrade silently
-to the Python loop - ``REPRO_SIM_NATIVE=on`` turns that into a hard
-error, ``off`` disables the native path outright, and the default
-``auto`` uses it when available and eligible.
+Build model: :class:`repro.util.native.NativeCore` compiles the C source
+below once per source hash into ``src/repro/cpu/_native/`` (gitignored)
+and memoizes it process-wide.  Under the default ``auto`` policy a
+failed build silently routes runs to the event reference;
+``REPRO_SIM_NATIVE=on`` turns any fallback into a hard error.
 
-Identity-critical conventions shared with the Python loop:
+Identity-critical conventions shared with the reference:
 
 * events are ``(time, seq, kind, payload)`` with ``seq`` incremented at
   exactly the reference push sites, so heap order replays exactly;
@@ -33,11 +32,15 @@ Identity-critical conventions shared with the Python loop:
   division matches Python floor division);
 * pending-request counts are recounted from the queue at pick time,
   which equals the reference's incremental pending map for every key.
+
+Two buffers are owned by Python and refilled on request: per-core trace
+chunks (``epoch_run`` returns the core id) and the IPC-window counts
+(``epoch_run`` returns -3).  In both cases the interrupted core step
+resumes on the next call, so nothing is truncated.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from itertools import islice
 from time import perf_counter
@@ -46,16 +49,11 @@ import numpy as np
 
 from repro import obs
 from repro.cpu.llc import LineKind
-from repro.cpu.system import (
-    TAG_FILL,
-    TAG_POSTFILL,
-    TAG_SHIFT,
-    AccessCounters,
-    SimResult,
-)
+from repro.cpu.system import AccessCounters, SimResult
 from repro.dram.channel import MemRequest
 from repro.dram.power import RankEnergyCounters
 from repro.ecc.base import EccTraffic
+from repro.util import native
 
 #: Max cores the native loop supports (fixed-size trace-buffer slots).
 MAX_CORES = 64
@@ -118,6 +116,11 @@ typedef struct {
     /* degraded mode: faulty-bank bitmap + materialized-ECC constants */
     int64_t mat_on, mat_cov, mat_base;
     uint8_t *faulty;
+    /* one-shot bursts: 4 int64 per entry (cycle, reads, writes, base) */
+    int64_t *bursts;
+    /* IPC windows: instructions per window; Python grows the buffer */
+    int64_t win, win_len, win_cap;
+    int64_t *win_buf;
 } KS;
 
 void push_event(KS *k, int64_t t, int64_t kind, int64_t payload);
@@ -168,6 +171,9 @@ typedef struct {
     int64_t scrub_interval, scrub_region, scrub_cursor, scrub_reads;
     int64_t mat_on, mat_cov, mat_base;
     uint8_t *faulty;
+    int64_t *bursts;
+    int64_t win, win_len, win_cap;
+    int64_t *win_buf;
 } KS;
 
 /* tag codes (mirror repro.cpu.system) */
@@ -184,6 +190,7 @@ typedef struct {
 
 #define EV_CORE_   0
 #define EV_ACCESS_ 1
+#define EV_BURST_  2
 #define EV_SCRUB_  3
 #define EV_CHAN_   4
 
@@ -566,16 +573,31 @@ static inline void act_append(KS *k, int64_t gr, int64_t v) {
 
 /* -- event handlers --------------------------------------------------------- */
 
-static void core_event(KS *k, int64_t now, int64_t cid) {
+/* returns 1 (nothing consumed) when the IPC-window buffer must grow first */
+static int core_event(KS *k, int64_t now, int64_t cid) {
+    int64_t widx = 0;
+    if (k->win) {
+        widx = now / k->win;
+        if (widx >= k->win_cap) {
+            k->resume_cid = cid;
+            k->resume_now = now;
+            return 1;
+        }
+    }
     int64_t bi = k->buf_i[cid];
     int64_t gap = k->buf_gap[cid][bi];
     k->buf_i[cid] = bi + 1;
     k->instr[cid] += gap;
     k->total += gap;
+    if (k->win) {
+        if (widx >= k->win_len) k->win_len = widx + 1;
+        k->win_buf[widx] += gap;
+    }
     k->pend_addr[cid] = k->buf_addr[cid][bi];
     k->pend_wr[cid] = k->buf_wr[cid][bi];
     k->has_pend[cid] = 1;
     hpush(k, now + k->buf_dt[cid][bi], EV_ACCESS_, cid);
+    return 0;
 }
 
 static void access_event(KS *k, int64_t now, int64_t cid) {
@@ -715,6 +737,18 @@ static void scrub_event(KS *k, int64_t now) {
     }
 }
 
+static void burst_event(KS *k, int64_t now, int64_t i) {
+    int64_t *b = k->bursts + i * 4;
+    for (int64_t j = 0; j < b[1]; j++) {
+        enqueue(k, b[3] + j, 0, TAG_SCRUB_, now);
+        if (k->error) return;
+    }
+    for (int64_t j = 0; j < b[2]; j++) {
+        enqueue(k, b[3] + j, 1, TAG_WB_, now);
+        if (k->error) return;
+    }
+}
+
 /* -- snapshots -------------------------------------------------------------- */
 
 static void take_counts(KS *k, int64_t *dst, int64_t upto, int64_t do_account) {
@@ -738,14 +772,15 @@ static void take_scalars(KS *k, int64_t *dst) {
 
 /* -- main loop -------------------------------------------------------------- */
 /* returns: >=0 refill needed for that core, -1 heap empty, -2 target hit,
-   -10-err on internal error */
+   -3 IPC-window buffer full, -10-err on internal error.  After a refill or
+   a buffer growth Python calls again and the pending core step resumes. */
 
 int64_t epoch_run(KS *k) {
     if (k->resume_cid >= 0) {
         int64_t cid = k->resume_cid;
         k->resume_cid = -1;
         if (k->refill_ok) {
-            core_event(k, k->resume_now, cid);
+            if (core_event(k, k->resume_now, cid)) return -3;
         } else {
             k->done[cid] = 1;
             k->done_cnt++;
@@ -777,9 +812,11 @@ int64_t epoch_run(KS *k) {
                 k->resume_now = t;
                 return payload;
             }
-            core_event(k, t, payload);
+            if (core_event(k, t, payload)) return -3;
         } else if (kind == EV_ACCESS_) {
             access_event(k, t, payload);
+        } else if (kind == EV_BURST_) {
+            burst_event(k, t, payload);
         } else {  /* EV_SCRUB_ */
             scrub_event(k, t);
         }
@@ -789,63 +826,39 @@ int64_t epoch_run(KS *k) {
 }
 """
 
-_BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native")
+_CORE = native.NativeCore(
+    "_epochcore", _CDEF, _CSRC,
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native"),
+)
 
 #: LineKind values exported back as enum members (C stores raw ints).
 _KINDS = (LineKind.DATA, LineKind.ECC, LineKind.XOR)
 
-_lib = None
-_ffi = None
-_load_attempted = False
+#: Initial IPC-window buffer capacity (entries beyond any carried-over
+#: windows); ``epoch_run`` returns to Python to double it when a window
+#: index passes the end.
+WINDOW_CAP0 = 16
+
+#: Queue-entry row key: (rank << 5 | bank) << 44 | row.  Rows stay far
+#: below 2**44 (the largest mapped region base is 1 << 41) and banks below
+#: 32; ``decode()`` in the C source packs the same way.
+_PK_ROW_BITS = 44
+_PK_BANK_BITS = 5
 
 
-def _source_tag() -> str:
-    return hashlib.sha1((_CDEF + _CSRC).encode()).hexdigest()[:12]
+def _pack_key(rank: int, bank: int, row: int) -> int:
+    return ((rank << _PK_BANK_BITS | bank) << _PK_ROW_BITS) | row
 
 
-def _load():
-    """Compile (once) and import the native core; None when unavailable."""
-    global _lib, _ffi, _load_attempted
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        import importlib.util
-
-        from cffi import FFI
-
-        modname = f"_epochcore_{_source_tag()}"
-        sofile = None
-        if os.path.isdir(_BUILD_DIR):
-            for fn in os.listdir(_BUILD_DIR):
-                if fn.startswith(modname) and fn.endswith(".so"):
-                    sofile = os.path.join(_BUILD_DIR, fn)
-                    break
-        ffi = FFI()
-        ffi.cdef(_CDEF)
-        if sofile is None:
-            # Build in a per-process scratch dir, then publish atomically so
-            # concurrent workers never import a half-written extension.
-            tmpdir = os.path.join(_BUILD_DIR, f"build-{os.getpid()}")
-            os.makedirs(tmpdir, exist_ok=True)
-            ffi.set_source(modname, _CSRC, extra_compile_args=["-O2"])
-            built = ffi.compile(tmpdir=tmpdir)
-            final = os.path.join(_BUILD_DIR, os.path.basename(built))
-            os.replace(built, final)
-            sofile = final
-        spec = importlib.util.spec_from_file_location(modname, sofile)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        _ffi = mod.ffi
-        _lib = mod.lib
-    except Exception:  # no compiler / sandboxed build dir / import failure
-        _lib = None
-    return _lib
+def _unpack_key(pk: int) -> "tuple[int, int, int]":
+    row = pk & ((1 << _PK_ROW_BITS) - 1)
+    bank = (pk >> _PK_ROW_BITS) & ((1 << _PK_BANK_BITS) - 1)
+    return pk >> (_PK_ROW_BITS + _PK_BANK_BITS), bank, row
 
 
 def available() -> bool:
     """True when the compiled core is importable (builds on first call)."""
-    return _load() is not None
+    return _CORE.available()
 
 
 def native_mode() -> str:
@@ -855,11 +868,7 @@ def native_mode() -> str:
 
 
 def ineligible_reason(sim) -> "str | None":
-    """Why *sim* needs the Python epoch loop, or None when the native core fits."""
-    if sim._bursts:
-        return "one-shot bursts"
-    if sim.ipc_window:
-        return "ipc_window"
+    """Why *sim* needs the event reference, or None when the native core fits."""
     mem = sim.mem
     chans = mem.channels
     C = len(chans)
@@ -868,8 +877,8 @@ def ineligible_reason(sim) -> "str | None":
     mapping = mem.mapping
     if mapping.channels != C or mapping.ranks_per_channel != R:
         return "mapping geometry differs from the memory system"
-    if max(B, mapping.banks_per_rank) >= 32:
-        return ">=32 banks per rank"
+    if max(B, mapping.banks_per_rank) >= (1 << _PK_BANK_BITS):
+        return f">={1 << _PK_BANK_BITS} banks per rank"
     if len(sim.cores) > MAX_CORES:
         return f">{MAX_CORES} cores"
     for ch in chans:
@@ -884,33 +893,28 @@ def eligible(sim) -> bool:
     return ineligible_reason(sim) is None
 
 
-def wants_native(sim) -> bool:
-    """Policy gate for :func:`repro.cpu.batchkernel.run_epoch`."""
-    mode = native_mode()
-    if mode == "off":
-        return False
+def fallback_reason(sim) -> "str | None":
+    """Why :meth:`SimSystem.run` must take the event reference, or None.
+
+    Under ``REPRO_SIM_NATIVE=on`` any reason raises instead.
+    """
     reason = ineligible_reason(sim)
     if reason is not None:
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_SIM_NATIVE=on but this configuration needs the "
-                f"Python epoch loop ({reason})"
-            )
-        return False
-    if not available():
-        if mode == "on":
-            raise RuntimeError(
-                "REPRO_SIM_NATIVE=on but the native core failed to build "
-                "(compiler or cffi unavailable)"
-            )
-        return False
-    return True
+        reason = f"this configuration needs the event reference ({reason})"
+    elif not available():
+        reason = native.UNAVAILABLE
+    native.gate("REPRO_SIM_NATIVE", native_mode(), reason)
+    return reason
+
+
+def wants_native(sim) -> bool:
+    """Policy gate for :meth:`repro.cpu.system.SimSystem.run`."""
+    return fallback_reason(sim) is None
 
 
 def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimResult:
-    """Run the compiled epoch loop; same contract as ``run_epoch``."""
-    lib = _load()
-    ffi = _ffi
+    """Run the compiled epoch loop; same contract as ``SimSystem._run_reference``."""
+    lib, ffi = _CORE.load(), _CORE.ffi
     obs_armed = obs.enabled("sim")
     wall0 = perf_counter() if obs_armed else 0.0
 
@@ -1027,6 +1031,14 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
         faulty_map[gb] = 1
     hold.append(faulty_map)
     ks.faulty = ffi.cast("uint8_t *", faulty_map.ctypes.data)
+    _, ks.bursts = i64(np.array(sim._bursts, dtype=np.int64).reshape(-1))
+
+    # -- IPC windows: carried-over counts plus zeroed headroom --------------------------
+    ks.win = sim.ipc_window or 0
+    win_buf = np.zeros(len(sim._window_instr) + WINDOW_CAP0, dtype=np.int64)
+    win_buf[: len(sim._window_instr)] = sim._window_instr
+    ks.win_buf = ffi.cast("int64_t *", win_buf.ctypes.data)
+    ks.win_len, ks.win_cap = len(sim._window_instr), len(win_buf)
 
     # -- LLC flat state -----------------------------------------------------------------
     ks.set_mask = llc._set_mask
@@ -1098,8 +1110,6 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     q_len = np.zeros(C, dtype=np.int64)
     dem_cnt, bg_cnt, draining = [], [], []
     bus_free, last_w, fastp, issued, refresh_due = [], [], [], [], []
-    from repro.cpu.batchkernel import _pack_key, _unpack_key
-
     for ci, ch in enumerate(chans):
         for j, q in enumerate(ch.queue):
             grq = ci * R + q.rank
@@ -1211,17 +1221,28 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     ks.n_ecc_r = sim.counters.ecc_reads
     ks.n_ecc_w = sim.counters.ecc_writes
 
-    # Initial events: one EV_CORE per core, then the first scrub tick,
-    # in reference push order.
+    # Initial events in reference push order: one EV_CORE per core, the
+    # first scrub tick, then every burst.
     for cid in range(n_cores):
         lib.push_event(ks, 0, 0, cid)
     if scrub is not None:
         lib.push_event(ks, scrub.interval_cycles, 3, 0)
+    for i, (cycle, _, _, _) in enumerate(sim._bursts):
+        lib.push_event(ks, cycle, 2, i)
 
-    # -- run, servicing refill requests -------------------------------------------------
+    # -- run, servicing refill and window-growth requests -------------------------------
     rc = lib.epoch_run(ks)
-    while rc >= 0:
-        ks.refill_ok = 1 if refill(int(rc)) else 0
+    while rc >= 0 or rc == -3:
+        if rc == -3:
+            need = int(ks.resume_now) // ks.win + 1
+            grown = np.zeros(max(need, 2 * len(win_buf)), dtype=np.int64)
+            grown[: len(win_buf)] = win_buf
+            win_buf = grown
+            ks.win_buf = ffi.cast("int64_t *", win_buf.ctypes.data)
+            ks.win_cap = len(win_buf)
+            ks.refill_ok = 1
+        else:
+            ks.refill_ok = 1 if refill(int(rc)) else 0
         rc = lib.epoch_run(ks)
     if rc == -11:
         raise RuntimeError("channel queue overflow; caller must respect can_accept()")
@@ -1334,6 +1355,8 @@ def run_native(sim, warmup_instructions: int, measure_instructions: int) -> SimR
     )
     sim._scrub_cursor = int(ks.scrub_cursor)
     sim.scrub_reads = int(ks.scrub_reads)
+    if ks.win:
+        sim._window_instr[:] = win_buf[: ks.win_len].tolist()
     for cid, core in enumerate(cores):
         core.done = bool(a_done[cid])
         core.waiting = bool(a_wait[cid])

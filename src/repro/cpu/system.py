@@ -10,6 +10,14 @@ The model deliberately omits core microarchitecture below the LLC-access
 stream: every metric the paper reports (memory EPI, accesses per
 instruction, relative performance) is a function of the LLC-filtered
 request stream and the DRAM system's response to it.
+
+Two kernels execute these semantics.  The event-driven loop in this
+module (:meth:`SimSystem._run_reference`) is the oracle: it defines the
+simulator and runs every configuration.  The compiled epoch core in
+:mod:`repro.cpu.epochnative` is the fast path :meth:`SimSystem.run`
+dispatches to by default; ``tests/test_epoch_kernel.py`` holds it to
+bit-identical results and post-run state, so a change to the rules here
+must land in the C core too.
 """
 
 from __future__ import annotations
@@ -371,20 +379,26 @@ class SimSystem:
     ) -> SimResult:
         """Simulate until the instruction budget is spent; return measured stats.
 
-        *kernel* selects the execution engine: ``"epoch"`` (the batched
-        kernel in :mod:`repro.cpu.batchkernel`, the default) or
-        ``"event"`` (the event-driven reference loop).  Unset, the
+        *kernel* selects the execution engine: ``"epoch"`` (the default:
+        the compiled core in :mod:`repro.cpu.epochnative`) or ``"event"``
+        (the event-driven reference loop, the oracle).  Unset, the
         ``REPRO_SIM_KERNEL`` knob decides.  Both produce bit-identical
-        results; a system whose event heap is already populated (an
-        interrupted or resumed run) always takes the reference loop, the
-        one serialization the batched kernel does not model.
+        results.  An ``epoch`` run takes the reference when the core cannot
+        run it: a configuration :func:`epochnative.ineligible_reason` names,
+        a host without a compiler, or a system whose event heap is already
+        populated (an interrupted or resumed run).  The ``sim.run`` span
+        records the choice as ``native=`` and the reason as ``fallback=``.
         """
-        kernel = envcfg.sim_kernel(kernel)
-        with trace.span("sim.run", "sim", kernel=kernel):
-            if kernel == "epoch" and not self._heap:
-                from repro.cpu import batchkernel  # lazy: batchkernel imports this module
+        from repro.cpu import epochnative  # lazy: epochnative imports this module
 
-                return batchkernel.run_epoch(self, warmup_instructions, measure_instructions)
+        kernel = envcfg.sim_kernel(kernel)
+        reason = None
+        if kernel == "epoch":
+            reason = "populated event heap" if self._heap else epochnative.fallback_reason(self)
+        native = kernel == "epoch" and reason is None
+        with trace.span("sim.run", "sim", kernel=kernel, native=native, fallback=reason):
+            if native:
+                return epochnative.run_native(self, warmup_instructions, measure_instructions)
             return self._run_reference(warmup_instructions, measure_instructions)
 
     def _run_reference(self, warmup_instructions: int, measure_instructions: int) -> SimResult:

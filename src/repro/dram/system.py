@@ -7,9 +7,9 @@ event loop, and per-rank command/residency counters are integrated into an
 
 .. warning:: Enqueue/decode behaviour here (address mapping dispatch,
    64-byte access accounting, finalize-time residency flush) is mirrored
-   by ``repro.cpu.batchkernel`` and ``repro.cpu.epochnative`` under the
+   by the compiled epoch core in ``repro.cpu.epochnative`` under the
    bit-identity contract enforced by ``tests/test_epoch_kernel.py``;
-   changes must land in all three places together.
+   changes must land here and in the C core together.
 """
 
 from __future__ import annotations

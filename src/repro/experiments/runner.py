@@ -131,9 +131,9 @@ def build_system(spec: RunSpec, reuse_llc: bool = False) -> SimSystem:
 def run(spec: RunSpec) -> SimResult:
     """Execute one simulation and return the measured-phase result.
 
-    The timing kernel (epoch-batched vs event-driven reference) follows
-    ``REPRO_SIM_KERNEL``; results are bit-identical either way, so the
-    evaluation-matrix cache needs no kernel key.
+    The timing kernel (compiled epoch core vs event-driven reference)
+    follows ``REPRO_SIM_KERNEL``; results are bit-identical either way, so
+    the evaluation-matrix cache needs no kernel key.
     """
     system = build_system(spec, reuse_llc=True)
     return system.run(spec.resolved_warmup, spec.resolved_measure)

@@ -264,8 +264,9 @@ def task_timeout(explicit: "float | None" = None) -> "float | None":
 
 
 def sim_kernel(explicit: "str | None" = None) -> str:
-    """Resolve the timing-simulation kernel: ``epoch`` (batched, default)
-    or ``event`` (the event-driven reference loop).
+    """Resolve the timing-simulation kernel: ``epoch`` (default, the
+    compiled core in :mod:`repro.cpu.epochnative`) or ``event`` (the
+    event-driven reference loop).
 
     An explicit caller argument wins; otherwise ``REPRO_SIM_KERNEL``
     applies.  Anything else raises eagerly.
@@ -278,15 +279,21 @@ def sim_kernel(explicit: "str | None" = None) -> str:
 
 
 def sim_native(explicit: "str | None" = None) -> str:
-    """Resolve the epoch kernel's compiled-core policy: ``auto`` (default,
-    use the cffi core when the configuration is eligible and a compiler is
-    available), ``off`` (always the Python epoch loop), or ``on`` (require
-    the compiled core; error out rather than fall back).
+    """Resolve the simulator's compiled-core policy: ``auto`` (default, use
+    the cffi core when the configuration is eligible and a compiler is
+    available, else the event reference) or ``on`` (require the compiled
+    core; error out rather than fall back).  ``off`` is rejected: forcing
+    the reference is ``REPRO_SIM_KERNEL=event``.
     """
     value = explicit if explicit is not None else os.environ.get("REPRO_SIM_NATIVE", "")
     value = value.strip() or "auto"
-    if value not in ("auto", "off", "on"):
-        raise ValueError(f"REPRO_SIM_NATIVE must be 'auto', 'off' or 'on', got {value!r}")
+    if value == "off":
+        raise ValueError(
+            "REPRO_SIM_NATIVE=off was removed; use REPRO_SIM_KERNEL=event "
+            "to run the event reference"
+        )
+    if value not in ("auto", "on"):
+        raise ValueError(f"REPRO_SIM_NATIVE must be 'auto' or 'on', got {value!r}")
     return value
 
 
@@ -493,14 +500,14 @@ register(
     "REPRO_SIM_KERNEL",
     "event|epoch",
     "epoch",
-    "timing-simulation kernel: epoch-batched fast path or the event-driven reference",
+    "timing-simulation kernel: compiled epoch core or the event-driven reference",
     lambda: sim_kernel(),
 )
 register(
     "REPRO_SIM_NATIVE",
-    "auto|off|on",
+    "auto|on",
     "auto",
-    "epoch kernel's compiled core: auto-detect, disable, or require (no fallback)",
+    "epoch kernel's compiled core: auto-detect (event reference fallback) or require",
     lambda: sim_native(),
 )
 register(

@@ -39,7 +39,7 @@ class TraceStream:
     """Reference stream: iterator of ``(gap, line_addr, is_write)`` forever.
 
     The per-item protocol (``next()``) serves the event-driven simulation
-    kernel; :meth:`take_batch` hands the epoch-batched kernel the remainder
+    kernel; :meth:`take_batch` hands the compiled epoch core the remainder
     of the current randomness batch as whole arrays, with the run-and-jump
     position recurrence resolved by a vectorized segmented scan instead of
     the per-item state machine.  Both paths consume the same RNG draws in

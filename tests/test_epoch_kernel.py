@@ -1,13 +1,13 @@
-"""Epoch-batched kernel vs the event-driven oracle: bit-identity tests.
+"""Compiled epoch core vs the event-driven oracle: bit-identity tests.
 
-The contract under test (ISSUE 5 tentpole): ``repro.cpu.batchkernel``
-must produce *bit-identical* results to ``SimSystem._run_reference`` -
-not just the measured-phase ``SimResult``, but the complete post-run
-system state (LLC arrays, per-rank timing/energy counters, channel
-queues, core state, event sequence numbers).  The same bar applies to
-the compiled core in ``repro.cpu.epochnative``, which is checked here
-both ways: forced off (pure-Python epoch loop) and in its default
-``auto`` dispatch.
+The contract under test: ``repro.cpu.epochnative`` must produce
+*bit-identical* results to ``SimSystem._run_reference`` - not just the
+measured-phase ``SimResult``, but the complete post-run system state
+(LLC arrays, per-rank timing/energy counters, channel queues, core
+state, IPC windows, event sequence numbers).  The native leg runs under
+``REPRO_SIM_NATIVE=on``, so a core that fails to build or a
+configuration that falls back to the oracle fails here instead of
+comparing the oracle with itself.
 
 Coverage is a scenario matrix over schemes, channel counts, mapping
 policies, ECC-parity wrap, degraded mode (fault states), scrubbing,
@@ -22,7 +22,6 @@ import pytest
 
 import repro.experiments.evaluation as ev
 from repro.cpu import epochnative
-from repro.cpu.batchkernel import run_epoch
 from repro.cpu.degraded import DegradedMode
 from repro.cpu.ecc_traffic import EccTrafficModel
 from repro.cpu.llc import LLC
@@ -118,7 +117,7 @@ def res_of(res):
 
 
 def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=None):
-    """Reference vs epoch (native off, then on/auto) - full-state bit identity."""
+    """Reference vs the compiled core (forced on) - full-state bit identity."""
 
     def prepared():
         sim = mk()
@@ -129,20 +128,16 @@ def assert_identical(mk, warmup, measure, monkeypatch, bursts=(), ipc_window=Non
         return sim
 
     ref = prepared()
-    # The second leg forces the compiled core whenever it can run, so a
-    # failed build cannot silently turn it into a second Python-loop run.
-    second = "on" if epochnative.eligible(ref) and epochnative.available() else "auto"
     r_ref = ref._run_reference(warmup, measure)
     want_res, want_state = res_of(r_ref), state_of(ref)
 
-    for native in ("off", second):
-        monkeypatch.setenv("REPRO_SIM_NATIVE", native)
-        epo = prepared()
-        r_epo = run_epoch(epo, warmup, measure)
-        assert res_of(r_epo) == want_res, f"SimResult diverged (native={native})"
-        got = state_of(epo)
-        for key in want_state:
-            assert got[key] == want_state[key], f"state[{key}] diverged (native={native})"
+    monkeypatch.setenv("REPRO_SIM_NATIVE", "on")
+    epo = prepared()
+    r_epo = epo.run(warmup, measure, kernel="epoch")
+    assert res_of(r_epo) == want_res, "SimResult diverged"
+    got = state_of(epo)
+    for key in want_state:
+        assert got[key] == want_state[key], f"state[{key}] diverged"
 
 
 def wl_traces(wl_name, seed, cores=4, scale=64, line=64):
@@ -216,12 +211,14 @@ class TestKernelIdentityScenarios:
                           scrub=ScrubConfig(interval_cycles=500, region_lines=4096)),
             1000, 5000, monkeypatch)
 
-    def test_bursts_and_ipc_window(self, monkeypatch):
+    @pytest.mark.parametrize("window", [1000, 50])
+    def test_bursts_and_ipc_window(self, window, monkeypatch):
+        """A 50-cycle window outgrows the core's window buffer several times."""
         assert_identical(
             lambda: build(Chipkill36(), wl_traces("mcf", 6)),
             0, 6000, monkeypatch,
             bursts=[(100, 200, 100, 1 << 30), (5000, 64, 64, 1 << 31)],
-            ipc_window=1000)
+            ipc_window=window)
 
     def test_load_mlp_single_channel_multi_rank(self, monkeypatch):
         assert_identical(
@@ -307,17 +304,12 @@ class TestNativeCore:
         assert epochnative.eligible(sim)
         assert epochnative.wants_native(sim)
 
-    def test_native_off_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_NATIVE", "off")
-        sim = build(Chipkill18(), wl_traces("mcf", 0))
-        assert not epochnative.wants_native(sim)
-
     def test_native_on_rejects_ineligible_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", "on")
         sim = build(Chipkill18(), wl_traces("mcf", 0))
-        sim.schedule_burst(10, 4, 4, 1 << 30)
+        sim.mem.mapping = dataclasses.replace(sim.mem.mapping, channels=4)
         with pytest.raises(RuntimeError,
-                           match=r"REPRO_SIM_NATIVE=on .*\(one-shot bursts\)"):
+                           match=r"REPRO_SIM_NATIVE=on .*\(mapping geometry differs"):
             epochnative.wants_native(sim)
 
     def test_native_on_runs_uncached_xor_lines(self, monkeypatch):
@@ -332,7 +324,7 @@ class TestNativeCore:
         want = res_of(ref._run_reference(1000, 5000))
         monkeypatch.setenv("REPRO_SIM_NATIVE", "on")
         epo = mk()
-        assert res_of(run_epoch(epo, 1000, 5000)) == want
+        assert res_of(epo.run(1000, 5000, kernel="epoch")) == want
         assert state_of(epo) == state_of(ref)
 
     def test_scrub_and_degraded_are_eligible(self):
@@ -343,20 +335,27 @@ class TestNativeCore:
             assert epochnative.eligible(build(Chipkill18(), wl_traces("mcf", 0), **kw))
 
     def test_scalar_fallback_cases_are_ineligible(self):
-        """Serializing features must route to the Python epoch loop."""
+        """Bursts and IPC windows run in the core; odd geometries do not."""
         assert epochnative.eligible(
             build(MultiEcc(), wl_traces("mcf", 0), cache_ecc_lines=False))
         burst_sim = build(Chipkill18(), wl_traces("mcf", 0))
         burst_sim.schedule_burst(10, 4, 4, 1 << 30)
-        assert not epochnative.eligible(burst_sim)
+        assert epochnative.eligible(burst_sim)
         window_sim = build(Chipkill18(), wl_traces("mcf", 0))
         window_sim.ipc_window = 100
-        assert not epochnative.eligible(window_sim)
+        assert epochnative.eligible(window_sim)
+        geometry_sim = build(Chipkill18(), wl_traces("mcf", 0))
+        geometry_sim.mem.mapping = dataclasses.replace(
+            geometry_sim.mem.mapping, ranks_per_channel=2)
+        assert not epochnative.eligible(geometry_sim)
+        wide_sim = build(Chipkill18(), wl_traces("mcf", 0, cores=epochnative.MAX_CORES + 1))
+        assert epochnative.ineligible_reason(wide_sim) == f">{epochnative.MAX_CORES} cores"
 
-    @pytest.mark.parametrize("bad", ["never", "1", "EPOCH"])
+    @pytest.mark.parametrize("bad", ["never", "1", "EPOCH", "off"])
     def test_knob_rejects_garbage(self, bad, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_NATIVE", bad)
-        with pytest.raises(ValueError):
+        want = "use REPRO_SIM_KERNEL=event" if bad == "off" else "must be 'auto' or 'on'"
+        with pytest.raises(ValueError, match=want):
             envcfg.sim_native()
 
     def test_knob_default_is_auto(self, monkeypatch):
