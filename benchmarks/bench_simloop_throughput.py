@@ -35,10 +35,10 @@ SIM_INSTRUCTIONS = 60_000 if QUICK_MODE else 400_000
 #: Best-of reps: single quick runs are too noisy for the ±15% perf guard.
 SIM_REPS = 3
 
-#: Cold-cache sweep: a sub-matrix small enough to run three times (serial,
-#: batched-parallel, unbatched-parallel) but wide enough that worker
-#: startup amortizes and the jobs=2 speedup clears 1.0 even in quick mode
-#: on a machine with at least two real cores.  The per-cell budget must
+#: Cold-cache sweep: a sub-matrix small enough to run twice (serial and
+#: parallel) but wide enough that worker startup amortizes and the jobs=2
+#: speedup clears 1.0 even in quick mode on a machine with at least two
+#: real cores.  The per-cell budget must
 #: dwarf pool spin-up (~0.2 s), so quick mode trims the cell size less
 #: aggressively than the single-sim budgets.
 MATRIX_FIDELITY = Fidelity("bench", scale=64, access_target=128_000 if QUICK_MODE else 256_000)
@@ -180,18 +180,11 @@ def bench_kernel_comparison(benchmark, results_dir, emit):
     )
 
 
-def _sweep_wall(jobs: int, batch: str = "auto") -> float:
-    """Cold-cache wall-clock of the benchmark sub-matrix with *jobs* workers.
-
-    *batch* sets ``REPRO_TASK_BATCH`` for the sweep (the engine knob the
-    evaluation matrix reads), so the same helper times the batched and
-    unbatched dispatch paths.
-    """
+def _sweep_wall(jobs: int) -> float:
+    """Cold-cache wall-clock of the benchmark sub-matrix with *jobs* workers."""
     saved = ev.CACHE_DIR
-    saved_batch = os.environ.get("REPRO_TASK_BATCH")
     with tempfile.TemporaryDirectory() as td:
         ev.CACHE_DIR = Path(td)
-        os.environ["REPRO_TASK_BATCH"] = batch
         try:
             t0 = time.perf_counter()
             ev.evaluation_matrix(
@@ -204,34 +197,23 @@ def _sweep_wall(jobs: int, batch: str = "auto") -> float:
             return time.perf_counter() - t0
         finally:
             ev.CACHE_DIR = saved
-            if saved_batch is None:
-                os.environ.pop("REPRO_TASK_BATCH", None)
-            else:
-                os.environ["REPRO_TASK_BATCH"] = saved_batch
 
 
 def bench_matrix_parallel_speedup(benchmark, results_dir, emit):
     """Cold-cache sweep: serial vs REPRO_JOBS-parallel wall-clock.
 
-    The parallel leg runs twice - once with super-task batching (the
-    ``auto`` default) and once with ``REPRO_TASK_BATCH=off`` - so the
-    archived numbers separate the pool speedup from the batching gain.
-    The ``matrix_sweep.speedup`` field is the batched one; perf_guard
-    enforces an absolute >= 1.0 floor on it whenever the recorded
-    ``cpus`` shows the workers had real cores to run on.
+    perf_guard enforces an absolute >= 1.0 floor on
+    ``matrix_sweep.speedup`` whenever the recorded ``cpus`` shows the
+    workers had real cores to run on.
     """
     jobs = max(2, parallel.default_jobs())
     cpus = _usable_cpus()
 
     def measure():
-        serial = _sweep_wall(1)
-        par = _sweep_wall(jobs, batch="auto")
-        par_unbatched = _sweep_wall(jobs, batch="off")
-        return serial, par, par_unbatched
+        return _sweep_wall(1), _sweep_wall(jobs)
 
-    serial, par, par_unbatched = once(benchmark, measure)
+    serial, par = once(benchmark, measure)
     speedup = serial / par if par else float("inf")
-    speedup_unbatched = serial / par_unbatched if par_unbatched else float("inf")
     cells = len(MATRIX_WORKLOADS) * len(MATRIX_CONFIGS)
     _merge_results(
         results_dir,
@@ -244,15 +226,6 @@ def bench_matrix_parallel_speedup(benchmark, results_dir, emit):
             "speedup": round(speedup, 3),
             "quick_mode": QUICK_MODE,
         },
-        matrix_sweep_unbatched={
-            "cells": cells,
-            "jobs": jobs,
-            "cpus": cpus,
-            "serial_wall_s": round(serial, 3),
-            "parallel_wall_s": round(par_unbatched, 3),
-            "speedup": round(speedup_unbatched, 3),
-            "quick_mode": QUICK_MODE,
-        },
     )
     emit(
         "bench_simloop_matrix",
@@ -263,12 +236,10 @@ def bench_matrix_parallel_speedup(benchmark, results_dir, emit):
                 ["workers", f"{jobs}"],
                 ["usable cpus", f"{cpus}"],
                 ["serial wall s", f"{serial:.2f}"],
-                ["parallel wall s (batched)", f"{par:.2f}"],
-                ["parallel wall s (unbatched)", f"{par_unbatched:.2f}"],
-                ["speedup (batched)", f"{speedup:.2f}x"],
-                ["speedup (unbatched)", f"{speedup_unbatched:.2f}x"],
+                ["parallel wall s", f"{par:.2f}"],
+                ["speedup", f"{speedup:.2f}x"],
             ],
             title="Cold-cache evaluation sweep, serial vs parallel",
         ),
     )
-    assert serial > 0 and par > 0 and par_unbatched > 0
+    assert serial > 0 and par > 0

@@ -15,7 +15,7 @@ from repro.experiments.evaluation import (
     instruction_budget,
     workload_order,
 )
-from repro.experiments.parallel import default_jobs, run_cells
+from repro.experiments.parallel import default_jobs
 from repro.experiments.performance import PerfReport, perf_report
 from repro.experiments.reliability import figure2, figure8, figure18
 from repro.experiments.report import format_barchart, format_percent, format_table, geomean
@@ -55,7 +55,6 @@ __all__ = [
     "instruction_budget",
     "workload_order",
     "default_jobs",
-    "run_cells",
     "PerfReport",
     "perf_report",
     "figure2",

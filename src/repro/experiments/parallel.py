@@ -7,8 +7,7 @@ task's result never depends on which process ran it and a parallel
 campaign is bit-identical to a serial one.  :func:`run_tasks` is the
 generic engine; :func:`keyed_campaign` puts a per-key JSON checkpoint in
 front of it and is the runner every cached campaign driver goes through
-(the evaluation matrix, fig8 EOL, rare-event shards, coverage, collision);
-:func:`run_cells` adapts the engine to evaluation-matrix cells.
+(the evaluation matrix, fig8 EOL, rare-event shards, coverage, collision).
 
 At production scale (1M-trial campaigns, full 16-workload sweeps) partial
 failure is the common case, so the engine wraps the fan-out in a
@@ -25,8 +24,10 @@ resilience layer:
   in flight is requeued.
 * **Pool rebuild on ``BrokenProcessPool``** — an OOM-killed or crashed
   worker takes the whole executor down; the engine kills the broken pool,
-  requeues all in-flight tasks (the culprit is unknowable, so nobody's
-  retry budget is charged), and rebuilds.
+  requeues all in-flight tasks under a new attempt number (the culprit is
+  unknowable, so nobody's retry budget is charged), and rebuilds.  Once a
+  worker is seen dead the engine submits nothing more to its pool, even
+  before the executor itself has noticed.
 * **Graceful degradation to serial** — when the pool breaks
   :data:`REBUILD_LIMIT` times consecutively (no task resolved in between)
   or :data:`REBUILD_TOTAL_LIMIT` times overall, the engine stops fighting
@@ -37,37 +38,29 @@ resilience layer:
   :class:`TaskFailure` (payload identity, attempts, error) is raised, so a
   rerun recomputes only the failed cells.
 
-On top of the resilience layer sits **granularity-aware dispatch**: fast
-kernels made individual cells so cheap that per-task pickle + pool
-dispatch overhead can dominate (and even lose to serial), so the engine
-coalesces small tasks into batched *super-tasks* (``REPRO_TASK_BATCH``:
-cost-calibrated ``auto``, ``off``, or a fixed size).  Inside a super-task
-every inner task keeps its own identity: per-inner chaos injection,
-retry/timeout attribution, and telemetry events are unchanged, and inner
-results stream back through a crash-safe spool file in a compact binary
-codec (:mod:`repro.experiments.resultcodec`) instead of pickled object
-graphs — a worker that dies mid-batch loses only its unfinished inners.
-Workers are kept *warm*: a pool initializer (re-applied on every rebuild)
-pre-imports the sim stack and primes per-process caches, so rebuilt pools
-do not pay cold-start per cell.
+On top of the resilience layer sits a **two-deep submission window**: a
+matrix cell takes tens of milliseconds, so a worker that waits for the
+parent to settle its last result and submit the next one idles for a
+visible share of its time.  With no ``timeout`` armed the engine keeps
+``2 * jobs`` submissions in flight, so every worker has its next task
+queued while the parent round-trips the last; with a timeout it keeps
+``jobs``, so a deadline measures run time, not queue time.  Workers are
+kept *warm*: a pool initializer (re-applied on every rebuild) pre-imports
+the sim stack and primes per-process caches, so rebuilt pools do not pay
+cold-start per cell.
 
 Because workers are pure and retried/requeued tasks are simply re-executed
 from the same primitives, every recovery path yields the same bytes as a
-fault-free run — the serial == parallel == batched-parallel determinism
-contract survives retries, rebuilds, and degradation.  The deterministic
-fault injector in :mod:`repro.util.chaos` (armed via ``REPRO_CHAOS`` or
-the ``chaos`` argument) exists to prove exactly that in tests: faults are
-injected only into pool workers, never into the serial/degraded
-in-process path.
+fault-free run — the serial == parallel determinism contract survives
+retries, rebuilds, and degradation.  The deterministic fault injector in
+:mod:`repro.util.chaos` (armed via ``REPRO_CHAOS`` or the ``chaos``
+argument) exists to prove exactly that in tests: faults are injected only
+into pool workers, never into the serial/degraded in-process path.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import pickle
-import shutil
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -79,7 +72,7 @@ from typing import Callable, Iterable, Iterator
 from repro import obs
 from repro.obs import trace
 from repro.ecc.catalog import SYSTEM_CLASSES
-from repro.experiments import evaluation, resultcodec
+from repro.experiments import evaluation
 from repro.experiments.runner import RunSpec, run
 from repro.util import cachefile
 from repro.util import chaos as chaos_mod
@@ -99,28 +92,6 @@ REBUILD_LIMIT = 2
 #: progress in between — bounds a persistent crasher that lets other
 #: tasks finish between rebuilds.
 REBUILD_TOTAL_LIMIT = 5
-
-#: Estimated fixed dispatch cost of one pooled submission (pickle, queue
-#: hop, future bookkeeping, result transport).  The auto-batching
-#: heuristic sizes super-tasks so this overhead stays under
-#: :data:`TARGET_OVERHEAD_FRACTION` of the measured per-task work.
-DISPATCH_OVERHEAD_S = 0.004
-
-#: Dispatch overhead budget as a fraction of useful per-task work.
-TARGET_OVERHEAD_FRACTION = 0.10
-
-#: Upper bound on inner tasks per super-task, so one slow batch cannot
-#: serialize the tail of a campaign.
-MAX_BATCH = 32
-
-#: Recent per-task wall samples kept for the auto-batching estimate.
-_CALIBRATION_WINDOW = 64
-
-#: Wait-loop cap while a super-task is in flight: the parent polls the
-#: batch spools at least this often so finished inners settle promptly
-#: even when no future completes and no deadline is near.
-_SPOOL_POLL_S = 0.05
-
 
 def default_jobs() -> int:
     """Worker count: ``REPRO_JOBS`` if set, else the machine's CPU count."""
@@ -196,7 +167,7 @@ class _WorkerReport:
 
 
 def _obs_task(cfg, chaos, worker, index, attempt, payload):
-    """Worker entry point for every individually-submitted pooled task.
+    """Worker entry point for every pooled task.
 
     Arms the worker's telemetry to the parent's config (*cfg*, picklable;
     fork workers inherit the sink and this is a no-op; the shipped trace
@@ -214,96 +185,6 @@ def _obs_task(cfg, chaos, worker, index, attempt, payload):
         else:
             result = worker(*payload)
     return _WorkerReport(os.getpid(), round(time.perf_counter() - t0, 6)), result
-
-
-#: Spool record kinds (aliases of the shared framed-record layer in
-#: :mod:`repro.experiments.resultcodec`): a codec-encoded result, a
-#: pickled worker exception, or a codec-encoded result that a ``corrupt``
-#: chaos fault wrapped.
-_REC_OK = resultcodec.KIND_OK
-_REC_EXC = resultcodec.KIND_EXC
-_REC_CORRUPT = resultcodec.KIND_CORRUPT
-
-#: Sentinel a super-task returns through the pool: the real results
-#: travelled through the spool file, not the pickled future.
-_SUPER_DONE = "__super_done__"
-
-
-def _run_super(cfg, chaos, worker, tasks, spool):
-    """Worker entry point for one batched super-task.
-
-    *tasks* is an ordered list of ``(index, attempt, payload)`` inner
-    tasks.  Each inner task runs under its own chaos/attempt identity and
-    appends one self-delimiting record to *spool* with a single
-    ``os.write`` (O_APPEND), so a ``crash`` fault killing the process via
-    ``os._exit`` mid-batch leaves every already-finished inner result
-    durable on disk — the parent recovers them without recomputation.
-    Inner exceptions are captured per record; only the whole-batch
-    envelope travels back through the pool.
-    """
-    obs.ensure_worker(cfg)
-    t0 = time.perf_counter()
-    pid = os.getpid()
-    fd = os.open(spool, os.O_WRONLY | os.O_APPEND)
-    batch_span = trace.start_span("engine.super", "compute", size=len(tasks))
-    try:
-        for index, attempt, payload in tasks:
-            t1 = time.perf_counter()
-            kind = _REC_OK
-            task_span = trace.start_span("engine.task", "compute", index=index, attempt=attempt)
-            try:
-                if chaos:
-                    result = chaos_mod.chaos_call(chaos, worker, index, attempt, payload)
-                else:
-                    result = worker(*payload)
-            except Exception as exc:
-                task_span.end(error=repr(exc))
-                kind = _REC_EXC
-                try:
-                    blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            else:
-                task_span.end()
-                if isinstance(result, chaos_mod.Corrupted):
-                    kind = _REC_CORRUPT
-                    result = result.original
-                with trace.span("engine.encode", "codec", index=index):
-                    blob = resultcodec.encode(result)
-            wall = round(time.perf_counter() - t1, 6)
-            os.write(
-                fd, resultcodec.pack_frame(index, wall, pid, kind, blob, task_span.span_id)
-            )
-    finally:
-        batch_span.end()
-        os.close(fd)
-    return _WorkerReport(pid, round(time.perf_counter() - t0, 6)), _SUPER_DONE
-
-
-def _read_spool_from(path, offset: int) -> "tuple[dict[int, resultcodec.Frame], int]":
-    """Parse complete spool records from byte *offset* on.
-
-    Returns ``({index: Frame}, new_offset)`` where *new_offset* is the end
-    of the last complete record.  Stops at the first truncated record:
-    each record is one ``os.write``, so a torn tail is either a write
-    still in flight (the next read picks it up from the same offset) or a
-    file that vanished mid-read — everything before it is trustworthy
-    either way.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except OSError:
-        return {}, offset
-    frames, consumed = resultcodec.unpack_frames(data)
-    return {frame.index: frame for frame in frames}, offset + consumed
-
-
-def _read_spool(path) -> "dict[int, resultcodec.Frame]":
-    """Parse a whole super-task spool into ``{index: Frame}``."""
-    records, _ = _read_spool_from(path, 0)
-    return records
 
 
 def _apply_warm(warm) -> None:
@@ -401,6 +282,18 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+def _workers_alive(pool: ProcessPoolExecutor) -> bool:
+    """False once any worker process of *pool* has exited.
+
+    The executor marks itself broken only when its manager thread gets to
+    the dead worker's sentinel, and it serves pending results first, so a
+    task submitted in between is lost with the pool and requeued under a
+    new attempt number without ever having run.
+    """
+    procs = getattr(pool, "_processes", None)
+    return all(p.is_alive() for p in (list(procs.values()) if procs else ()))
+
+
 def _submit(pool, worker, payload, index, attempt, chaos):
     return pool.submit(_obs_task, obs.worker_config(), chaos, worker, index, attempt, payload)
 
@@ -424,28 +317,17 @@ def _collect(fut) -> "tuple[str, object]":
     return "error", exc
 
 
-class _Flight:
-    """Parent-side state of one in-flight submission (single or batched)."""
-
-    __slots__ = ("entries", "spool", "deadline", "progress")
-
-    def __init__(self, entries, spool, deadline):
-        self.entries = entries  #: ordered [(index, attempt)] unsettled inner tasks
-        self.spool = spool  #: spool path for super-tasks, None for singles
-        self.deadline = deadline  #: monotonic expiry, None when untimed
-        self.progress = 0  #: spool bytes already parsed and settled
-
-
-def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, fail_fast):
+def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, charged, fail_fast):
     """In-process execution with the same retry/validation contract.
 
     *tasks* is a list of ``(index, first_attempt)`` pairs — the degraded
     path hands over tasks mid-campaign with their attempt count intact.
     Every task is executed at least once regardless of the attempt it
-    arrives with.  No chaos, no timeout: this is the reference path.
-    Yields ``(index, result)`` pairs like every engine path.
+    arrives with; *charged* counts each task's failed attempts, and a task
+    is given up once that count exceeds *retries*.  No chaos, no timeout:
+    this is the reference path.  Yields ``(index, result)`` pairs like
+    every engine path.
     """
-    max_attempts = retries + 1
     for index, attempt in tasks:
         payload = payloads[index]
         while True:
@@ -461,7 +343,8 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
                     attempt=attempt,
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                if attempt >= max_attempts:
+                charged[index] += 1
+                if charged[index] > retries:
                     _emit("engine.fail", index=index, attempts=attempt, reason="exception")
                     _record(failures, index, payload, attempt, "exception", exc, fail_fast)
                     break
@@ -471,7 +354,8 @@ def _run_serial(worker, payloads, tasks, retries, backoff, validate, failures, f
                 continue
             if not _result_ok(result, validate):
                 _emit("engine.error", index=index, attempt=attempt, error="invalid result")
-                if attempt >= max_attempts:
+                charged[index] += 1
+                if charged[index] > retries:
                     exc = ValueError(f"invalid result: {result!r}")
                     _emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
                     _record(failures, index, payload, attempt, "corrupt", exc, fail_fast)
@@ -500,76 +384,40 @@ def _run_pooled(
     validate,
     chaos,
     failures,
+    charged,
     fail_fast,
-    batch,
     warm,
 ):
-    """The pooled engine: batching, windowed submission, deadlines, rebuilds.
+    """The pooled engine: windowed submission, deadlines, rebuilds.
 
-    Yields ``(index, result)`` pairs.  Super-task spools live in a private
-    temp directory that is removed on exit.
+    Yields ``(index, result)`` pairs.  ``inflight`` maps each submitted
+    future to its ``(index, attempt, deadline)``.  An exception, an invalid
+    result or an expired deadline adds one to the task's *charged* count;
+    a requeue after a pool break does not, because the culprit of a break
+    is unknowable.
     """
-    max_attempts = retries + 1
+    # Two submissions per worker keep each one fed while the parent settles
+    # a result; with a deadline armed, one each, so it times the task itself.
+    window = jobs if timeout else 2 * jobs
     pending = deque((i, 1) for i in range(len(payloads)))
-    inflight: "dict[object, _Flight]" = {}
+    inflight: "dict[object, tuple[int, int, float | None]]" = {}
     consecutive_rebuilds = 0
     total_rebuilds = 0
-    spool_dir = None
-    samples: "deque[float]" = deque(maxlen=_CALIBRATION_WINDOW)
 
-    def _new_spool():
-        nonlocal spool_dir
-        if spool_dir is None:
-            spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        fd, path = tempfile.mkstemp(prefix="super-", suffix=".bin", dir=spool_dir)
-        os.close(fd)
-        return path
-
-    def _drop_spool(path):
-        if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _target_batch() -> int:
-        """Inner tasks per submission right now.
-
-        ``off``/1 and fixed sizes are literal.  ``auto`` submits singles
-        until at least one task's wall has been measured (calibration),
-        then sizes batches so :data:`DISPATCH_OVERHEAD_S` stays under
-        :data:`TARGET_OVERHEAD_FRACTION` of the median measured task —
-        capped at :data:`MAX_BATCH` and at an even split of the remaining
-        queue over the whole pool, so one batch never starves the others.
-        """
-        if batch == "off":
-            size = 1
-        elif batch != "auto":
-            size = batch
-        elif not samples:
-            return 1
-        else:
-            med = sorted(samples)[len(samples) // 2]
-            if med <= 0:
-                size = MAX_BATCH
-            else:
-                size = math.ceil(DISPATCH_OVERHEAD_S / (TARGET_OVERHEAD_FRACTION * med))
-            size = min(MAX_BATCH, size)
-        return max(1, min(size, math.ceil(len(pending) / jobs)))
-
-    def _settle_ok(index, attempt, value, pid, wall):
-        """One inner result arrived: validate, account, return (yieldable, value)."""
+    def _settle_ok(index, attempt, value, report) -> bool:
+        """A result arrived: validate and account; True when it is yieldable."""
         nonlocal consecutive_rebuilds
         if _result_ok(value, validate):
             consecutive_rebuilds = 0
-            if wall is not None:
-                samples.append(wall)
-                if obs.enabled("engine"):
-                    obs.REGISTRY.timer("engine.task").observe(wall)
+            wall = report.wall_s if report else None
+            if wall is not None and obs.enabled("engine"):
+                obs.REGISTRY.timer("engine.task").observe(wall)
+            pid = report.pid if report else None
             _emit("engine.ok", index=index, attempt=attempt, worker_pid=pid, wall_s=wall)
-            return True, value
+            return True
         _emit("engine.error", index=index, attempt=attempt, error="invalid result")
-        if attempt >= max_attempts:
+        charged[index] += 1
+        if charged[index] > retries:
             exc = ValueError(f"invalid result: {value!r}")
             _emit("engine.fail", index=index, attempts=attempt, reason="corrupt")
             _record(failures, index, payloads[index], attempt, "corrupt", exc, fail_fast)
@@ -578,10 +426,10 @@ def _run_pooled(
             _emit("engine.retry", index=index, attempt=attempt + 1, reason="corrupt")
             _backoff_sleep(backoff, attempt)
             pending.append((index, attempt + 1))
-        return False, None
+        return False
 
     def _settle_error(index, attempt, exc):
-        """One inner task raised: charge an attempt, retry or record."""
+        """The task raised: charge an attempt, retry or record."""
         nonlocal consecutive_rebuilds
         _emit(
             "engine.error",
@@ -589,7 +437,8 @@ def _run_pooled(
             attempt=attempt,
             error=f"{type(exc).__name__}: {exc}",
         )
-        if attempt >= max_attempts:
+        charged[index] += 1
+        if charged[index] > retries:
             _emit("engine.fail", index=index, attempts=attempt, reason="exception")
             _record(failures, index, payloads[index], attempt, "exception", exc, fail_fast)
             consecutive_rebuilds = 0
@@ -598,30 +447,11 @@ def _run_pooled(
             _backoff_sleep(backoff, attempt)
             pending.append((index, attempt + 1))
 
-    def _settle_record(index, attempt, rec):
-        """Decode one spool record (a :class:`resultcodec.Frame`);
-        returns (yieldable, value)."""
-        if rec.kind == _REC_EXC:
-            try:
-                exc = pickle.loads(rec.blob)
-            except Exception:
-                exc = RuntimeError("worker exception could not be decoded")
-            _settle_error(index, attempt, exc)
-            return False, None
-        try:
-            with trace.span("engine.decode", "codec", index=index):
-                value = resultcodec.decode(rec.blob)
-        except Exception as exc:
-            _settle_error(index, attempt, RuntimeError(f"result decode failed: {exc}"))
-            return False, None
-        if rec.kind == _REC_CORRUPT:
-            value = chaos_mod.Corrupted(value)
-        return _settle_ok(index, attempt, value, rec.pid, rec.wall_s)
-
     def _charge_timeout(index, attempt):
         nonlocal consecutive_rebuilds
         _emit("engine.timeout", index=index, attempt=attempt, timeout_s=timeout)
-        if attempt >= max_attempts:
+        charged[index] += 1
+        if charged[index] > retries:
             exc = TimeoutError(f"no result within {timeout:g}s")
             _emit("engine.fail", index=index, attempts=attempt, reason="timeout")
             _record(failures, index, payloads[index], attempt, "timeout", exc, fail_fast)
@@ -639,204 +469,74 @@ def _run_pooled(
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)), **pool_args)
     try:
         while pending or inflight:
-            broken = False
-            # 1. Refill the submission window (at most *jobs* submissions in
-            #    flight, so deadlines measure run time, not queue time).
-            while pool is not None and pending and len(inflight) < jobs:
-                size = _target_batch()
-                entries = []
-                while pending and len(entries) < size:
-                    index, attempt = pending[0]
-                    if attempt > 1 and entries:
-                        break  # retried tasks always travel alone
-                    pending.popleft()
-                    entries.append((index, attempt))
-                    if attempt > 1:
-                        break
+            # 1. Refill the submission window, unless a worker already died.
+            broken = (
+                pool is not None
+                and bool(pending)
+                and len(inflight) < window
+                and not _workers_alive(pool)
+            )
+            while not broken and pool is not None and pending and len(inflight) < window:
+                index, attempt = pending.popleft()
+                try:
+                    fut = _submit(pool, worker, payloads[index], index, attempt, chaos)
+                except (BrokenProcessPool, RuntimeError):
+                    pending.appendleft((index, attempt))
+                    broken = True
+                    break
+                _emit("engine.submit", index=index, attempt=attempt, path="pooled")
                 deadline = (time.monotonic() + timeout) if timeout else None
-                if len(entries) == 1:
-                    index, attempt = entries[0]
-                    try:
-                        fut = _submit(pool, worker, payloads[index], index, attempt, chaos)
-                    except (BrokenProcessPool, RuntimeError):
-                        pending.appendleft(entries[0])
-                        broken = True
-                        break
-                    _emit("engine.submit", index=index, attempt=attempt, path="pooled")
-                    inflight[fut] = _Flight(entries, None, deadline)
-                else:
-                    spool = _new_spool()
-                    tasks = [(i, a, payloads[i]) for i, a in entries]
-                    try:
-                        fut = pool.submit(
-                            _run_super, obs.worker_config(), chaos, worker, tasks, spool
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        _drop_spool(spool)
-                        for e in reversed(entries):
-                            pending.appendleft(e)
-                        broken = True
-                        break
-                    _emit("engine.batch", size=len(entries), indices=[i for i, _ in entries])
-                    for i, a in entries:
-                        _emit("engine.submit", index=i, attempt=a, path="batched")
-                    inflight[fut] = _Flight(entries, spool, deadline)
+                inflight[fut] = (index, attempt, deadline)
 
             # 2. Wait for completions, bounded by the nearest deadline.
-            #    With a super-task in flight the wait is also capped so the
-            #    parent keeps draining its spool: a finished inner must
-            #    settle promptly even while a sibling hangs.
             done = ()
             if not broken and inflight:
                 wait_s = None
                 if timeout:
-                    nearest = min(fl.deadline for fl in inflight.values())
+                    nearest = min(deadline for _, _, deadline in inflight.values())
                     wait_s = max(0.0, nearest - time.monotonic())
-                if any(fl.spool is not None for fl in inflight.values()):
-                    wait_s = _SPOOL_POLL_S if wait_s is None else min(wait_s, _SPOOL_POLL_S)
                 done, _ = wait(list(inflight), timeout=wait_s, return_when=FIRST_COMPLETED)
 
             # 3. Settle finished futures.
             for fut in done:
-                flight = inflight.pop(fut)
+                index, attempt, _ = inflight.pop(fut)
                 status, value = _collect(fut)
-                if flight.spool is None:
-                    (index, attempt) = flight.entries[0]
-                    if status == "broken":
-                        broken = True
-                        _requeue(index, attempt)
-                    elif status == "error":
-                        _settle_error(index, attempt, value)
-                    else:
-                        report, value = _unwrap(value)
-                        yieldable, value = _settle_ok(
-                            index,
-                            attempt,
-                            value,
-                            report.pid if report else None,
-                            report.wall_s if report else None,
-                        )
-                        if yieldable:
-                            yield index, value
+                if status == "broken":
+                    broken = True
+                    _requeue(index, attempt)
+                elif status == "error":
+                    _settle_error(index, attempt, value)
                 else:
-                    records = _read_spool(flight.spool)
-                    if status == "broken":
-                        broken = True
-                    first_unsettled = True
-                    for index, attempt in flight.entries:
-                        rec = records.get(index)
-                        if rec is not None:
-                            yieldable, value = _settle_record(index, attempt, rec)
-                            if yieldable:
-                                yield index, value
-                        elif status == "error" and first_unsettled:
-                            # The super-task envelope itself raised (spool
-                            # I/O, teardown): the first unfinished inner is
-                            # where it stopped; it is charged, the rest
-                            # never ran and are requeued uncharged.
-                            first_unsettled = False
-                            _settle_error(index, attempt, value)
-                        else:
-                            _requeue(index, attempt)
-                    _drop_spool(flight.spool)
+                    report, value = _unwrap(value)
+                    if _settle_ok(index, attempt, value, report):
+                        yield index, value
 
-            # 4. Drain running super-tasks: an inner result that reached the
-            #    spool settles immediately — its retry or its yield must not
-            #    wait for siblings (a hang would delay it a full timeout and
-            #    skew the rebuild/degradation accounting vs singles).  New
-            #    records are also progress and re-arm the deadline.
-            if not broken:
-                for flight in inflight.values():
-                    if flight.spool is None:
-                        continue
-                    records, offset = _read_spool_from(flight.spool, flight.progress)
-                    if offset <= flight.progress:
-                        continue
-                    flight.progress = offset
-                    if timeout:
-                        flight.deadline = time.monotonic() + timeout
-                    if records:
-                        remaining = []
-                        for index, attempt in flight.entries:
-                            rec = records.get(index)
-                            if rec is None:
-                                remaining.append((index, attempt))
-                                continue
-                            yieldable, value = _settle_record(index, attempt, rec)
-                            if yieldable:
-                                yield index, value
-                        flight.entries = remaining
-
-            # 5. Expire deadlines: a hung worker never completes on its own,
-            #    and the only way to reclaim it is to rebuild the pool.  A
-            #    super-task's deadline is per *inner* task: the drain above
-            #    re-arms it on progress, so expiry means no inner finished
-            #    for a whole window.
+            # 4. Expire deadlines: a hung worker never completes on its own,
+            #    and the only way to reclaim it is to rebuild the pool.
             if not broken and timeout and inflight:
                 now = time.monotonic()
                 expired = [
                     f
-                    for f, fl in inflight.items()
-                    if fl.deadline is not None and fl.deadline <= now and not f.done()
+                    for f, (_, _, deadline) in inflight.items()
+                    if deadline <= now and not f.done()
                 ]
                 if expired:
                     broken = True
                     for fut in expired:
-                        flight = inflight.pop(fut)
-                        if flight.spool is None:
-                            (index, attempt) = flight.entries[0]
-                            _charge_timeout(index, attempt)
-                        else:
-                            records = _read_spool(flight.spool)
-                            hung_charged = False
-                            for index, attempt in flight.entries:
-                                rec = records.get(index)
-                                if rec is not None:
-                                    yieldable, value = _settle_record(index, attempt, rec)
-                                    if yieldable:
-                                        yield index, value
-                                elif not hung_charged:
-                                    # The first inner without a record is
-                                    # the one the worker is stuck inside.
-                                    hung_charged = True
-                                    _charge_timeout(index, attempt)
-                                else:
-                                    _requeue(index, attempt)
-                            _drop_spool(flight.spool)
+                        index, attempt, _ = inflight.pop(fut)
+                        _charge_timeout(index, attempt)
 
-            # 6. Rebuild the pool, or degrade to serial when it keeps dying.
+            # 5. Rebuild the pool, or degrade to serial when it keeps dying.
             if broken:
-                for fut, flight in list(inflight.items()):
+                for fut, (index, attempt, _) in inflight.items():
                     status, value = _collect(fut)
-                    if flight.spool is None:
-                        (index, attempt) = flight.entries[0]
-                        report, value = _unwrap(value)
-                        if status == "ok" and _result_ok(value, validate):
-                            # Completed in the teardown race window: don't redo it.
-                            consecutive_rebuilds = 0
-                            _emit(
-                                "engine.ok",
-                                index=index,
-                                attempt=attempt,
-                                worker_pid=report.pid if report else None,
-                                wall_s=report.wall_s if report else None,
-                            )
-                            yield index, value
-                        else:
-                            _requeue(index, attempt)
+                    report, value = _unwrap(value)
+                    if status == "ok" and _result_ok(value, validate):
+                        # Completed in the teardown race window: don't redo it.
+                        _settle_ok(index, attempt, value, report)
+                        yield index, value
                     else:
-                        # Whatever reached the spool is durable: settle the
-                        # finished inners, requeue only the unfinished rest.
-                        records = _read_spool(flight.spool)
-                        for index, attempt in flight.entries:
-                            rec = records.get(index)
-                            if rec is not None:
-                                yieldable, value = _settle_record(index, attempt, rec)
-                                if yieldable:
-                                    yield index, value
-                            else:
-                                _requeue(index, attempt)
-                        _drop_spool(flight.spool)
+                        _requeue(index, attempt)
                 inflight.clear()
                 rebuild_span = trace.start_span("engine.rebuild", "retry", pending=len(pending))
                 _kill_pool(pool)
@@ -858,7 +558,8 @@ def _run_pooled(
                     rebuild_span.end(degraded=True)
                     _emit("engine.degrade", remaining=len(tasks), rebuilds=total_rebuilds)
                     yield from _run_serial(
-                        worker, payloads, tasks, retries, backoff, validate, failures, fail_fast
+                        worker, payloads, tasks, retries, backoff, validate,
+                        failures, charged, fail_fast,
                     )
                     return
                 if pending:
@@ -872,9 +573,6 @@ def _run_pooled(
         if pool is not None:
             _kill_pool(pool)
         raise
-    finally:
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
     if pool is not None:
         pool.shutdown()
 
@@ -890,7 +588,6 @@ def run_tasks(
     validate: "Callable[[object], bool] | None" = None,
     chaos: "str | None" = None,
     fail_fast: bool = False,
-    batch: "str | int | None" = None,
     warm: "tuple | None" = None,
     yield_index: bool = False,
 ) -> "Iterator":
@@ -906,22 +603,19 @@ def run_tasks(
     Resilience knobs (see the module docstring for semantics):
 
     * *timeout* — per-task seconds (default ``REPRO_TASK_TIMEOUT``; unset
-      disables; ``0`` disables explicitly).  Pool path only; inside a
-      super-task the window re-arms on every finished inner task.
-    * *retries* — attempts beyond the first per task (default
-      ``REPRO_TASK_RETRIES``, else 2).
+      disables; ``0`` disables explicitly).  Pool path only; with a timeout
+      armed the engine keeps only *jobs* tasks in flight.
+    * *retries* — failed attempts a task may have beyond the first before
+      it is given up (default ``REPRO_TASK_RETRIES``, else 2); a requeue
+      after a pool break is not a failed attempt.
     * *backoff* — base seconds of the exponential retry backoff (default
       :data:`BACKOFF_BASE`; pass ``0`` to disable sleeping in tests).
     * *validate* — optional predicate over results; a falsy verdict counts
       as a failed attempt (kind ``corrupt``).
     * *chaos* — a :mod:`repro.util.chaos` spec string (default
-      ``REPRO_CHAOS``); injected into pool workers only, per inner task.
+      ``REPRO_CHAOS``); injected into pool workers only.
     * *fail_fast* — raise :class:`TaskError` on the first exhausted task
       instead of collecting failures into a :class:`CampaignError`.
-    * *batch* — super-task batching policy (default ``REPRO_TASK_BATCH``):
-      ``auto`` sizes batches from measured task cost, ``off`` submits every
-      task individually, an integer pins the size.  Retried tasks are
-      always submitted individually.
     * *warm* — optional ``(function, args)`` warm hint, applied in the
       parent before the first pool (fork workers inherit it) and as the
       initializer of every built or rebuilt pool.
@@ -939,12 +633,12 @@ def run_tasks(
         jobs = default_jobs()
     timeout = envcfg.task_timeout(timeout)
     retries = envcfg.task_retries(retries)
-    batch = envcfg.task_batch(batch)
     if backoff is None:
         backoff = BACKOFF_BASE
     if chaos is None:
         chaos = chaos_mod.from_env()
     failures: "list[TaskFailure]" = []
+    charged = [0] * len(payloads)  # failed attempts per task
     serial = jobs == 1 or len(payloads) <= 1
     if obs.enabled("engine"):
         obs.ensure_manifest()
@@ -962,7 +656,6 @@ def run_tasks(
         timeout=timeout,
         retries=retries,
         chaos=chaos,
-        batch=batch,
         path="serial" if serial else "pooled",
     )
     t0 = time.perf_counter()
@@ -975,6 +668,7 @@ def run_tasks(
             backoff,
             validate,
             failures,
+            charged,
             fail_fast,
         )
     else:
@@ -988,8 +682,8 @@ def run_tasks(
             validate,
             chaos,
             failures,
+            charged,
             fail_fast,
-            batch,
             warm,
         )
     ok = 0
@@ -1106,31 +800,3 @@ def _cell_payload(system_class, wl_name, config_key, fidelity, seed) -> tuple:
 def _cells_warm(system_class, config_keys, fidelity) -> tuple:
     """The warm hint of a matrix campaign over *config_keys*."""
     return (_warm_cells, (system_class, tuple(sorted(set(config_keys))), fidelity.scale))
-
-
-def run_cells(
-    system_class: str,
-    cells: "Iterable[tuple[str, str]]",
-    fidelity: "evaluation.Fidelity",
-    seed: int,
-    jobs: "int | None" = None,
-    **options,
-) -> "Iterator[tuple[str, str, dict]]":
-    """Simulate *cells* and yield ``(workload, config_key, cell_dict)``.
-
-    A thin adapter over :func:`run_tasks` (which owns pooling, batching,
-    retries, timeouts, and failure records — *options* passes those knobs
-    through).  Results stream back in completion order; callers key by
-    name, so order does not matter for correctness, and with ``jobs == 1``
-    or a single cell everything runs in-process, byte-for-byte the
-    reference behaviour.  Pooled workers get a warm hint that pre-imports
-    the sim stack, pre-compiles the native core, and primes the LLC pool
-    for every cache geometry in the sweep.  A failing cell surfaces in
-    :class:`CampaignError` / :class:`TaskError` with its ``(system_class,
-    workload, config_key, ...)`` payload attached, so it is identifiable
-    without rerunning the sweep.
-    """
-    cells = list(cells)
-    payloads = [_cell_payload(system_class, wl_name, key, fidelity, seed) for wl_name, key in cells]
-    options.setdefault("warm", _cells_warm(system_class, [key for _, key in cells], fidelity))
-    return run_tasks(_run_cell, payloads, jobs=jobs, **options)

@@ -18,7 +18,6 @@ causal structure of a campaign:
   ========  ==========================================================
   bucket    instants where the highest-precedence active descendant is
   ========  ==========================================================
-  codec     a ``codec`` span (result encode/decode)
   compute   a ``compute``/``mc``/``sim`` span (worker task bodies,
             MC chunk loops, simulator kernels)
   retry     a ``retry`` span (backoff sleeps, pool rebuilds)
@@ -26,10 +25,9 @@ causal structure of a campaign:
   idle      no descendant span at all is active
   ========  ==========================================================
 
-  Precedence (codec > compute > retry > dispatch) charges an instant to
-  the most specific work happening anywhere in the campaign: a result
-  decode racing a worker's compute charges to codec only for the
-  microseconds it actually takes.
+  Precedence (compute > retry > dispatch) charges an instant to the most
+  specific work happening anywhere in the campaign: a backoff sleep
+  racing a worker's compute charges to compute.
 
 :func:`trace_summary` packages forest + critical path + buckets as the
 ``trace`` section of :func:`repro.obs.summarize.summarize`.
@@ -41,7 +39,6 @@ from pathlib import Path
 
 #: Category → attribution bucket (anything else falls into ``dispatch``).
 BUCKET_BY_CAT = {
-    "codec": "codec",
     "compute": "compute",
     "mc": "compute",
     "sim": "compute",
@@ -49,7 +46,7 @@ BUCKET_BY_CAT = {
 }
 
 #: Sweep precedence, most specific first; ``idle`` is the absence of all.
-BUCKET_PRECEDENCE = ("codec", "compute", "retry", "dispatch")
+BUCKET_PRECEDENCE = ("compute", "retry", "dispatch")
 
 BUCKETS = BUCKET_PRECEDENCE + ("idle",)
 

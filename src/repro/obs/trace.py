@@ -7,7 +7,7 @@ with monotonic start/end stamps and a category tag — emitted as a single
 ``trace.span`` event when the span closes.  Because spans ride the same
 O_APPEND JSONL stream as ordinary events, one campaign reconstructs as a
 single span forest (:mod:`repro.obs.spantree`) even through pool
-rebuilds, worker retries, batched super-tasks, and crash/resume.
+rebuilds, worker retries, and crash/resume.
 
 Design constraints, in order:
 
@@ -18,9 +18,7 @@ Design constraints, in order:
    this to < 2% on both simulator kernels.
 2. **Propagation is explicit and picklable.**  A span context crosses a
    process boundary as a plain ``(trace_id, span_id)`` tuple: the engine
-   threads it through the task envelope (:func:`repro.obs.worker_config`)
-   and super-task spool frames carry the emitting span id
-   (:mod:`repro.experiments.resultcodec`).
+   threads it through the task envelope (:func:`repro.obs.worker_config`).
 3. **Ambient by default, explicit when needed.**  Spans nest through a
    :class:`contextvars.ContextVar`; pass ``parent=`` to override (e.g.
    worker-side spans parent to the dispatch-time context shipped in the
@@ -40,7 +38,7 @@ Span event schema (``kind == "trace.span"``)::
     span    16-hex span id (unique per span)
     parent  16-hex parent span id, or null for a root
     name    operation name, e.g. "engine.task"
-    cat     attribution bucket: dispatch|compute|codec|retry|...
+    cat     attribution bucket: dispatch|compute|retry|...
     t0, t1  monotonic start/end seconds (same axis as event ``ts``)
 
 plus any keyword fields given at start, :meth:`Span.annotate`, or end.
@@ -56,7 +54,7 @@ from repro import obs
 
 #: Attribution categories consumed by :mod:`repro.obs.spantree`.  Free-form
 #: strings are allowed; these are the ones the wall-time buckets know.
-CATEGORIES = ("dispatch", "compute", "codec", "retry", "mc", "sim")
+CATEGORIES = ("dispatch", "compute", "retry", "mc", "sim")
 
 _armed = False
 _current: "contextvars.ContextVar[tuple[str, str] | None]" = contextvars.ContextVar(

@@ -26,6 +26,11 @@ from repro.util import chaos
 PAYLOADS = [(2, 400, s, 61320.0, 1 << 16) for s in range(6)]
 
 
+def _slow_square(x, delay):
+    time.sleep(delay)
+    return x * x
+
+
 class TestSpecParsing:
     def test_defaults(self):
         (f,) = chaos.parse("crash@3")
@@ -123,6 +128,16 @@ class TestEngineRecovery:
         # (the degraded path injects no chaos).
         out = self._chaotic("crash@3#*")
         assert sorted(out) == sorted(reference)
+
+    def test_requeue_after_crash_keeps_retry_budget(self):
+        # Task 0 is still sleeping when task 1 crashes its pool, so it is
+        # requeued without having failed; its two corrupt attempts that
+        # follow must still leave it one retry.
+        out = parallel.run_tasks(
+            _slow_square, [(0, 0.5), (1, 0.0)], jobs=2,
+            chaos="crash@1,corrupt@0#2,corrupt@0#3", retries=2, backoff=0,
+        )
+        assert sorted(out) == [0, 1]
 
     def test_persistent_corrupt_exhausts_budget(self, reference):
         with pytest.raises(parallel.CampaignError) as ei:

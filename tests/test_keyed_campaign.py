@@ -112,7 +112,7 @@ class TestKeyedCampaign:
         serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
         list(parallel.keyed_campaign(serial, tasks, _late_square, jobs=1))
         order = [k for k, _ in parallel.keyed_campaign(
-            pooled, tasks, _late_square, jobs=2, batch="off", backoff=0
+            pooled, tasks, _late_square, jobs=2, backoff=0
         )]
         assert order[-1] == "k0"
         assert pooled.read_bytes() == serial.read_bytes()

@@ -58,15 +58,27 @@ class TestParallelDeterminism:
             serial_cache, sort_keys=True
         )
 
-    def test_run_cells_single_cell_stays_in_process(self, monkeypatch):
-        """One cell never pays executor overhead, whatever the job count."""
-        calls = []
-        monkeypatch.setattr(
-            parallel, "_run_cell", lambda *a: calls.append(a) or ("w", "k", {})
+    def test_pooled_run_resumes_serial_checkpoint(self, tmp_path, monkeypatch):
+        """Cells checkpointed by a serial run are honoured by a pooled one."""
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "shared")
+        partial = evaluation_matrix(
+            "quad", fidelity=TINY, jobs=1,
+            workloads=["streamcluster"], config_keys=CELLS["config_keys"],
         )
-        out = list(parallel.run_cells("quad", [("w", "k")], TINY, seed=0, jobs=8))
-        assert out == [("w", "k", {})]
-        assert len(calls) == 1
+        cache_path = next((tmp_path / "shared").glob("*.json"))
+        checkpointed = json.loads(cache_path.read_text())
+        checkpointed.pop("__meta__")  # schema stamp, not a cell
+        assert len(checkpointed) == 2
+
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        resumed = evaluation_matrix("quad", fidelity=TINY, **CELLS)
+        # The checkpointed cells were reused verbatim, the rest computed.
+        for key, cell in partial.items():
+            assert resumed[key] == cell
+
+        monkeypatch.setattr(ev, "CACHE_DIR", tmp_path / "fresh")
+        fresh = evaluation_matrix("quad", fidelity=TINY, jobs=1, **CELLS)
+        assert resumed == fresh
 
 
 class TestCacheRobustness:

@@ -16,8 +16,10 @@ import time
 import pytest
 
 import repro.experiments.evaluation as ev
+from repro import obs
 from repro.experiments import parallel
 from repro.experiments.evaluation import Fidelity, evaluation_matrix
+from repro.obs.summarize import read_events
 from repro.util import envcfg
 from repro.util.cachefile import load_json_cache, write_json_cache_atomic
 
@@ -58,6 +60,32 @@ def _slow_touch(out_dir, i, delay):
     with open(os.path.join(out_dir, f"task-{i}"), "w"):
         pass
     return i
+
+
+#: Engine events that take a task out of flight: a result, a raised error,
+#: an expired deadline, or a requeue after a pool break.
+_SETTLED = ("engine.ok", "engine.error", "engine.timeout", "engine.requeue")
+
+
+def _max_in_flight(events) -> int:
+    """Peak of submitted-minus-settled tasks over an engine event stream."""
+    live = peak = 0
+    for e in events:
+        if e["kind"] == "engine.submit":
+            live += 1
+            peak = max(peak, live)
+        elif e["kind"] in _SETTLED:
+            live -= 1
+    return peak
+
+
+@pytest.fixture
+def armed(tmp_path):
+    run = tmp_path / "engine-obs"
+    obs.configure(run, "engine,chaos")
+    yield run
+    obs.disarm()
+    obs.REGISTRY.reset()
 
 
 class TestRetries:
@@ -152,6 +180,41 @@ class TestTimeout:
         # a 0.7s task survives with no timeout configured
         out = list(parallel.run_tasks(_slow_touch, [(str(tmp_path), 0, 0.7), (str(tmp_path), 1, 0.0)], jobs=2))
         assert sorted(out) == [0, 1]
+
+
+class TestDispatchPaths:
+    def test_empty_payloads(self):
+        assert list(parallel.run_tasks(_square, [])) == []
+
+    def test_single_payload_stays_serial(self, armed):
+        assert list(parallel.run_tasks(_square, [(3,)], jobs=4)) == [9]
+        events = read_events(armed)
+        starts = [e for e in events if e["kind"] == "engine.start"]
+        assert starts[0]["path"] == "serial"
+
+
+class TestSubmissionWindow:
+    """Untimed campaigns keep two tasks per worker in flight; timed, one."""
+
+    def test_untimed_window_is_two_per_worker(self, armed):
+        out = list(parallel.run_tasks(_square, [(i,) for i in range(8)], jobs=2))
+        assert sorted(out) == [i * i for i in range(8)]
+        events = read_events(armed)
+        kinds = [e["kind"] for e in events if e["kind"] in ("engine.submit", "engine.ok")]
+        assert kinds[: kinds.index("engine.ok")] == ["engine.submit"] * 4
+        assert _max_in_flight(events) == 4
+
+    def test_timed_window_never_exceeds_jobs(self, armed):
+        out = list(
+            parallel.run_tasks(
+                _square, [(i,) for i in range(8)], jobs=2, timeout=30,
+                chaos="crash@1,corrupt@2", retries=2, backoff=0,
+            )
+        )
+        assert sorted(out) == [i * i for i in range(8)]
+        events = read_events(armed)
+        assert any(e["kind"] == "engine.rebuild" for e in events)
+        assert _max_in_flight(events) == 2
 
 
 class TestEnvKnobs:
